@@ -16,10 +16,17 @@ Layout (all integers little-endian):
         ...       row-major float64 little-endian payload
 
 save(load(path)) is byte-identical; any truncation or corruption raises
-CheckpointError.
+CheckpointError.  load checks every length field against the bytes left
+in the file before it allocates anything: the header length, and the
+total tensor bytes the header's dims imply.  It then allocates the
+kind's zero bundle once and reads each tensor into its named view, so a
+tensor that is missing, unknown, repeated or of another shape than the
+dims give is an error, and every payload is bounded by that bundle.
 """
 
 import json
+import math
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CharVocab, WordVocab
-from .model import ModelKind, Regressor, build_params
+from .model import ModelKind, Regressor, build_params, empty_params, tensor_shapes
 
 MAGIC = b"TRAITCKP"
 FORMAT_VERSION = 1
@@ -99,39 +106,73 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _header_fields(header_bytes: bytes):
+    """(kind, vocab, dims, config, tensor shapes) of a parsed header."""
+    try:
+        header = json.loads(header_bytes)
+        kind = ModelKind(header["model_kind"])
+        vocab = _vocab_from_payload(header["vocab"])
+        dims = header["dims"]
+        config = header["train_config"]
+        shapes = tensor_shapes(kind, dims)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"corrupt checkpoint header: {e}") from None
+    for name, shape in shapes:
+        if not all(type(n) is int and n >= 1 for n in shape):
+            raise CheckpointError(f"corrupt checkpoint header: dims give {name} the shape {shape}")
+    if dims["vocab_size"] != vocab.size:
+        raise CheckpointError(f"corrupt checkpoint header: vocab_size {dims['vocab_size']} "
+                              f"but the vocabulary has {vocab.size} entries")
+    return kind, vocab, dims, config, shapes
+
+
 def load(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def left() -> int:
+            return size - fh.tell()
+
         if _read_exact(fh, len(MAGIC), "magic") != MAGIC:
             raise CheckpointError("not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, header_len, "header"))
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"corrupt checkpoint header: {e}") from None
+        if header_len > left():
+            raise CheckpointError(f"truncated checkpoint: header length {header_len} exceeds "
+                                  f"the {left()} bytes left in the file")
+        kind, vocab, dims, config, shapes = _header_fields(_read_exact(fh, header_len, "header"))
+        needed = sum(8 * math.prod(shape) for _, shape in shapes)
+        if needed > left():
+            raise CheckpointError(f"truncated checkpoint: the header dims need {needed} bytes "
+                                  f"of tensors, but only {left()} bytes are left in the file")
+        views = empty_params(kind, dims).tensors()
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = OrderedDict()
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            name = _read_exact(fh, name_len, "tensor name").decode("utf-8", errors="replace")
+            if name not in views:
+                raise CheckpointError(f"unknown tensor {name!r} in a {kind.value} checkpoint")
+            if name in tensors:
+                raise CheckpointError(f"tensor {name} appears twice")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8, f"shape of {name}"))[0]
                 for _ in range(ndim)
             )
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = _read_exact(fh, count * 8, f"payload of {name}")
-            tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+            view = views[name]
+            if shape != view.shape:
+                raise CheckpointError(f"tensor {name} has shape {shape}, but the header dims "
+                                      f"give {view.shape}")
+            payload = _read_exact(fh, view.nbytes, f"payload of {name}")
+            view[...] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+            tensors[name] = view
+        missing = [name for name in views if name not in tensors]
+        if missing:
+            raise CheckpointError(f"checkpoint lacks tensor(s) {', '.join(missing)}")
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after checkpoint payload")
-    try:
-        kind = ModelKind(header["model_kind"])
-        vocab = _vocab_from_payload(header["vocab"])
-        dims = header["dims"]
-        config = header["train_config"]
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"corrupt checkpoint header: {e}") from None
     return Checkpoint(kind=kind, dims=dims, vocab=vocab, config=config, tensors=tensors)

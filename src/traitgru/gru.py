@@ -12,6 +12,23 @@ gate multiplies the already-projected previous state.  The backward pass
 differentiates these four lines exactly; gradients accumulate across
 time steps, so full unrolls stay checkable against finite differences.
 
+The three gates of a direction are stacked in z, r, h order into one
+W (3h x d), one U (3h x h) and one b (3h), following Appleyard et al.
+2016 (arXiv:1604.01946): the input projection W x + b of every step of
+an unroll is one matrix product taken before the time loop, each step
+then needs one product with U, and each backward step one product of
+[a_z | a_r | d_hu] with U.
+
+The unroll runs either one sequence (inputs of shape (d,)) or many
+sequences packed step-major without padding: sorted by length, longest
+first, step t advances only the first batch_sizes[t] of them, as one
+matrix product over those rows.  Both forms share the cell step and the
+BPTT loop; the single-sequence form stays because its (h,) traces and
+(2h,) bi-RNN output are the interface of the word level, the baselines
+and the checks that compare birnn_forward's traces with rnn_unroll's
+step by step.  Sending one sequence through pack() would give every
+trace a leading axis of 1 that each of those callers then strips.
+
 The bidirectional encoder runs one parameter set forward over the
 sequence and an independent set over the reversed sequence, then
 concatenates the two final hidden states.  Both directions start from
@@ -20,66 +37,100 @@ the zero vector.
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
 
+TENSOR_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
 
-@dataclass
+
+def _stacked(parts) -> np.ndarray:
+    """The array whose consecutive row blocks the three parts are, used in
+    place; otherwise a new float64 stack of copies of them."""
+    first = parts[0]
+    base = first.base
+    n = len(first)
+    # Equal-shaped C-contiguous views of one buffer are the same memory
+    # when their first elements are.  (Reading addresses through
+    # __array_interface__ instead makes numpy allocate about 1 MB once,
+    # after some thousands of calls, which shows in peak RSS.)
+    if (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags.c_contiguous and base.shape == (3 * n,) + first.shape[1:]
+            and all(part.base is base and part.flags.c_contiguous and part.shape == first.shape
+                    and np.shares_memory(part.reshape(-1)[:1],
+                                         base[i * n:i * n + 1].reshape(-1)[:1])
+                    for i, part in enumerate(parts))):
+        return base
+    return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
+
+
 class GruParams:
-    """Six weight matrices and three bias vectors of one direction."""
+    """One direction's weights: stacked W (3h x d), U (3h x h) and b (3h).
 
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
+    w_z ... b_h are C-contiguous row-slice views of W, U and b, so every
+    named tensor and its stacked array are the same memory: updating a
+    named tensor in place updates the stack.
+    """
 
-    def __post_init__(self):
-        h, d = self.w_z.shape
-        for name in ("w_z", "w_r", "w_h"):
-            if getattr(self, name).shape != (h, d):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {(h, d)}")
-        for name in ("u_z", "u_r", "u_h"):
-            if getattr(self, name).shape != (h, h):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {(h, h)}")
-        for name in ("b_z", "b_r", "b_h"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {(h,)}")
+    def __init__(self, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+        h, d = np.shape(w_z)
+        named = dict(zip(TENSOR_NAMES, (w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h)))
+        for name, arr in named.items():
+            want = {"w": (h, d), "u": (h, h), "b": (h,)}[name[0]]
+            if np.shape(arr) != want:
+                raise ValueError(f"{name} shape {np.shape(arr)} != {want}")
+        self._attach(_stacked((w_z, w_r, w_h)), _stacked((u_z, u_r, u_h)),
+                     _stacked((b_z, b_r, b_h)))
+
+    @classmethod
+    def from_stacked(cls, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> "GruParams":
+        h3, h = U.shape
+        if h3 != 3 * h or W.ndim != 2 or W.shape[0] != h3 or b.shape != (h3,):
+            raise ValueError(f"stacked shapes W {W.shape}, U {U.shape}, b {b.shape} "
+                             f"are not (3h x d), (3h x h), (3h)")
+        p = cls.__new__(cls)
+        p._attach(W, U, b)
+        return p
+
+    def _attach(self, W, U, b) -> None:
+        h = U.shape[1]
+        self.W, self.U, self.b = W, U, b
+        self.w_z, self.w_r, self.w_h = W[:h], W[h:2 * h], W[2 * h:]
+        self.u_z, self.u_r, self.u_h = U[:h], U[h:2 * h], U[2 * h:]
+        self.b_z, self.b_r, self.b_h = b[:h], b[h:2 * h], b[2 * h:]
 
     @property
     def input_size(self) -> int:
-        return self.w_z.shape[1]
+        return self.W.shape[1]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_z.shape[0]
+        return self.U.shape[1]
 
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict(
-            (name, getattr(self, name))
-            for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
-        )
+        return OrderedDict((name, getattr(self, name)) for name in TENSOR_NAMES)
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "GruParams":
         h, d = hidden_size, input_size
-        return cls(
-            w_z=np.zeros((h, d)), w_r=np.zeros((h, d)), w_h=np.zeros((h, d)),
-            u_z=np.zeros((h, h)), u_r=np.zeros((h, h)), u_h=np.zeros((h, h)),
-            b_z=np.zeros(h), b_r=np.zeros(h), b_h=np.zeros(h),
-        )
+        return cls.from_stacked(np.zeros((3 * h, d)), np.zeros((3 * h, h)), np.zeros(3 * h))
 
 
-@dataclass
+class GateInput(NamedTuple):
+    """A step's input rows x with their projection x W^T + b, which
+    rnn_unroll computes for all steps in one product."""
+
+    x: np.ndarray
+    a: np.ndarray
+
+
+@dataclass(slots=True)
 class GruCellTrace:
     """Everything one step needs for its exact backward pass.
 
+    Fields are (h,) vectors for one sequence or (B, h) rows for a batch.
     hu is the projected previous state U_h @ h_prev, kept so the reset
     gate's gradient does not recompute it.
     """
@@ -142,28 +193,70 @@ class BiRnnParams:
 
 
 @dataclass
+class Packing:
+    """Many sequences, concatenated in their own order, packed step-major.
+
+    order lists the sequences longest first (stable for equal lengths);
+    step t holds element t of the first batch_sizes[t] of them.  Packed
+    row i reads row fwd[i] of the concatenated input going forward
+    through its sequence, and row bwd[i] going backward.
+    """
+
+    order: np.ndarray
+    batch_sizes: list
+    fwd: np.ndarray
+    bwd: np.ndarray
+
+
+def pack(lengths) -> Packing:
+    """The packing of sequences with these lengths, concatenated in order."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ValueError(f"packing needs non-empty sequences, got lengths {lengths.tolist()}")
+    order = np.argsort(-lengths, kind="stable")
+    by_length = lengths[order]
+    starts = np.cumsum(lengths) - lengths
+    steps, rows = np.nonzero(np.arange(by_length[0])[:, None] < by_length[None, :])
+    seq = order[rows]
+    return Packing(order=order, batch_sizes=np.bincount(steps).tolist(),
+                   fwd=starts[seq] + steps, bwd=starts[seq] + lengths[seq] - 1 - steps)
+
+
+@dataclass
 class BiRnnTrace:
     fwd: list
     bwd: list
+    packing: Packing = None  # None for a single sequence
 
 
-def gru_forward(p: GruParams, x: np.ndarray, h_prev: np.ndarray) -> GruCellTrace:
-    """One cell step; returns the full trace (h_new is trace.h_new)."""
-    if x.shape != (p.input_size,):
-        raise ValueError(f"x shape {x.shape} != ({p.input_size},)")
-    if h_prev.shape != (p.hidden_size,):
-        raise ValueError(f"h_prev shape {h_prev.shape} != ({p.hidden_size},)")
-    hu = p.u_h @ h_prev
-    z = kernel.sigmoid(p.w_z @ x + p.u_z @ h_prev + p.b_z)
-    r = kernel.sigmoid(p.w_r @ x + p.u_r @ h_prev + p.b_r)
-    h_tilde = np.tanh(p.w_h @ x + r * hu + p.b_h)
-    h_new = z * h_prev + (1.0 - z) * h_tilde
+def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
+    """One cell step; returns the full trace (h_new is trace.h_new).
+
+    x is (d,) with h_prev (h,), or B rows (B, d) with h_prev (B, h); or a
+    GateInput carrying x together with its precomputed projection.
+    """
+    h = p.hidden_size
+    if isinstance(x, GateInput):
+        x, a = x
+    else:
+        if x.ndim not in (1, 2) or x.shape[-1] != p.input_size:
+            raise ValueError(f"x shape {x.shape} != ({p.input_size},) or (B, {p.input_size})")
+        a = x @ p.W.T + p.b
+    if h_prev.shape != x.shape[:-1] + (h,):
+        raise ValueError(f"h_prev shape {h_prev.shape} != {x.shape[:-1] + (h,)}")
+    g = h_prev @ p.U.T
+    zr = kernel.sigmoid(a[..., :2 * h] + g[..., :2 * h])
+    z, r = zr[..., :h], zr[..., h:]
+    hu = g[..., 2 * h:].copy()  # a copy, so the trace does not keep all of g alive
+    h_tilde = np.tanh(a[..., 2 * h:] + r * hu)
+    h_new = h_tilde + z * (h_prev - h_tilde)
     kernel.require_finite("gru_forward", h_new)
     return GruCellTrace(x=x, h_prev=h_prev, z=z, r=r, h_tilde=h_tilde, h_new=h_new, hu=hu)
 
 
 def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruGrads:
-    """Exact gradients of one step given the upstream gradient on h_new."""
+    """Exact gradients of one single-sequence step given the upstream
+    gradient on h_new; the step-by-step reference for rnn_backward."""
     if d_h_new.shape != trace.h_new.shape:
         raise ValueError(f"d_h_new shape {d_h_new.shape} != {trace.h_new.shape}")
     t = trace
@@ -193,75 +286,122 @@ def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruG
     )
 
 
-def rnn_unroll(p: GruParams, xs, h0: np.ndarray) -> list:
-    """Run the cell over xs starting from h0; trace[t].h_prev is trace[t-1].h_new."""
-    if len(xs) == 0:
+def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes=None) -> list:
+    """Run the cell over xs starting from h0; one trace per step.
+
+    Without batch_sizes, xs is one sequence of (d,) inputs and h0 is (h,).
+    With them, xs is (N, d) rows packed step-major (see Packing): step t
+    takes the next batch_sizes[t] rows, and h0 is (batch_sizes[0], h).
+    trace[t].h_prev is (the leading rows of) trace[t-1].h_new.
+    """
+    X = np.asarray(xs, dtype=np.float64)
+    if len(X) == 0:
         raise ValueError("rnn_unroll requires a non-empty sequence")
+    if X.ndim != 2 or X.shape[1] != p.input_size:
+        raise ValueError(f"inputs of shape {X.shape[1:]} != ({p.input_size},)")
+    A = X @ p.W.T
+    A += p.b
+    if batch_sizes is None:
+        steps = range(len(X))
+    else:
+        if sum(batch_sizes) != len(X) or h0.shape != (batch_sizes[0], p.hidden_size):
+            raise ValueError(f"batch sizes {batch_sizes} do not fit {len(X)} rows and h0 {h0.shape}")
+        ends = np.cumsum(batch_sizes).tolist()
+        steps = [slice(e - b, e) for e, b in zip(ends, batch_sizes)]
     traces = []
     h = h0
-    for x in xs:
-        tr = gru_forward(p, x, h)
+    for k in steps:
+        x = X[k]
+        tr = gru_forward(p, GateInput(x, A[k]), h if batch_sizes is None else h[:len(x)])
         traces.append(tr)
         h = tr.h_new
     return traces
 
 
 def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
-    """Backpropagation through time when only the final state feeds the loss.
+    """Backpropagation through time when only each sequence's final state
+    feeds the loss.
 
-    The recurrent chain walks the steps in reverse exactly as
-    gru_backward does (see the cross-check test), but the per-step outer
-    products fold into a handful of whole-sequence matmuls.
+    traces come from rnn_unroll; d_h_last is (h,) for one sequence or
+    (B, h) for packed ones, in packed order.  The recurrent chain walks the
+    steps in reverse exactly as gru_backward does (see the cross-check
+    test), with one product through U per step; the weight gradients are
+    one product each over all steps.
 
-    Returns (param gradient dict keyed like GruParams.tensors(),
-    per-step input gradients, gradient w.r.t. h0).
+    Returns (param gradient dict keyed like GruParams.tensors(), input
+    gradients with one row per input row of the unroll, gradient w.r.t. h0).
     """
-    n = len(traces)
-    h, d = p.hidden_size, p.input_size
-    d_az = np.empty((n, h))
-    d_ar = np.empty((n, h))
-    d_ah = np.empty((n, h))
-    d_hu = np.empty((n, h))
-    xs = np.empty((n, d))
-    h_prevs = np.empty((n, h))
-    uz_t, ur_t, uh_t = p.u_z.T, p.u_r.T, p.u_h.T
-    d_h = d_h_last
-    for t in range(n - 1, -1, -1):
+    h = p.hidden_size
+    packed = traces[0].h_new.ndim == 2
+    X = np.vstack([tr.x for tr in traces])
+    H = np.vstack([tr.h_prev for tr in traces])
+    G = np.empty((len(X), 3 * h))  # [a_z | a_r | d_hu]: the gradient through U
+    A_h = np.empty((len(X), h))
+    D = np.array(d_h_last, dtype=np.float64)  # running gradient on each sequence's state
+    U = p.U
+    end = len(X)
+    for t in range(len(traces) - 1, -1, -1):
         tr = traces[t]
-        a_h = (d_h * (1.0 - tr.z)) * (1.0 - tr.h_tilde * tr.h_tilde)
-        a_z = (d_h * (tr.h_prev - tr.h_tilde)) * tr.z * (1.0 - tr.z)
-        a_r = (a_h * tr.hu) * tr.r * (1.0 - tr.r)
-        hu = a_h * tr.r
-        d_az[t] = a_z
-        d_ar[t] = a_r
-        d_ah[t] = a_h
-        d_hu[t] = hu
-        xs[t] = tr.x
-        h_prevs[t] = tr.h_prev
-        d_h = d_h * tr.z + uz_t @ a_z + ur_t @ a_r + uh_t @ hu
-    acc = {
-        "w_z": d_az.T @ xs, "w_r": d_ar.T @ xs, "w_h": d_ah.T @ xs,
-        "u_z": d_az.T @ h_prevs, "u_r": d_ar.T @ h_prevs, "u_h": d_hu.T @ h_prevs,
-        "b_z": d_az.sum(axis=0), "b_r": d_ar.sum(axis=0), "b_h": d_ah.sum(axis=0),
-    }
-    d_xs = list(d_az @ p.w_z + d_ar @ p.w_r + d_ah @ p.w_h)
-    return acc, d_xs, d_h
+        if packed:
+            b = len(tr.h_new)
+            end -= b
+            k, active = slice(end, end + b), slice(0, b)
+        else:
+            k, active = t, slice(None)
+        d_h = D[active]
+        g = G[k]
+        a_h = d_h * (1.0 - tr.z) * (1.0 - tr.h_tilde * tr.h_tilde)
+        A_h[k] = a_h
+        g[..., :h] = d_h * (tr.h_prev - tr.h_tilde) * tr.z * (1.0 - tr.z)
+        g[..., h:2 * h] = a_h * tr.hu * tr.r * (1.0 - tr.r)
+        g[..., 2 * h:] = a_h * tr.r
+        D[active] = d_h * tr.z + g @ U
+    d_U = G.T @ H
+    G[:, 2 * h:] = A_h  # now [a_z | a_r | a_h]: the gradient through W and b
+    d_W = G.T @ X
+    d_b = G.sum(axis=0)
+    blocks = [m[i * h:(i + 1) * h] for m in (d_W, d_U, d_b) for i in range(3)]
+    return dict(zip(TENSOR_NAMES, blocks)), G @ p.W, D
 
 
-def birnn_forward(p: BiRnnParams, xs) -> BiRnnTrace:
-    """Unroll both directions; the backward direction consumes reversed xs."""
-    if len(xs) == 0:
+def birnn_forward(p: BiRnnParams, xs, lengths=None) -> BiRnnTrace:
+    """Unroll both directions; the backward direction consumes reversed xs.
+
+    With lengths, xs holds several sequences concatenated in order, and
+    each direction runs all of them at once, packed.
+    """
+    X = np.asarray(xs, dtype=np.float64)
+    if len(X) == 0:
         raise ValueError("birnn_forward requires a non-empty sequence")
-    h0 = np.zeros(p.hidden_size)
-    return BiRnnTrace(
-        fwd=rnn_unroll(p.fwd, xs, h0),
-        bwd=rnn_unroll(p.bwd, list(reversed(xs)), h0),
-    )
+    h = p.hidden_size
+    if lengths is None:
+        h0 = np.zeros(h)
+        return BiRnnTrace(fwd=rnn_unroll(p.fwd, X, h0), bwd=rnn_unroll(p.bwd, X[::-1], h0))
+    pk = pack(lengths)
+    if len(pk.fwd) != len(X):
+        raise ValueError(f"lengths add up to {len(pk.fwd)}, not to the {len(X)} inputs")
+    h0 = np.zeros((len(pk.order), h))
+    return BiRnnTrace(fwd=rnn_unroll(p.fwd, X[pk.fwd], h0, pk.batch_sizes),
+                      bwd=rnn_unroll(p.bwd, X[pk.bwd], h0, pk.batch_sizes), packing=pk)
+
+
+def _last_states(traces: list) -> np.ndarray:
+    """Each packed sequence's state after its own last step."""
+    last = np.empty_like(traces[0].h_new)
+    for tr in traces:
+        last[:len(tr.h_new)] = tr.h_new
+    return last
 
 
 def birnn_output(trace: BiRnnTrace) -> np.ndarray:
-    """[final forward state ; backward state at sequence position 1]."""
-    return kernel.concat(trace.fwd[-1].h_new, trace.bwd[-1].h_new)
+    """[final forward state ; backward state at sequence position 1];
+    one row per sequence, in their own order, when packed."""
+    if trace.packing is None:
+        return kernel.concat(trace.fwd[-1].h_new, trace.bwd[-1].h_new)
+    out = np.empty((len(trace.packing.order), 2 * trace.fwd[0].h_new.shape[1]))
+    out[trace.packing.order] = np.concatenate(
+        (_last_states(trace.fwd), _last_states(trace.bwd)), axis=1)
+    return out
 
 
 def birnn_encode(p: BiRnnParams, xs) -> np.ndarray:
@@ -272,15 +412,23 @@ def birnn_encode(p: BiRnnParams, xs) -> np.ndarray:
 def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):
     """Gradients of birnn_output w.r.t. both directions and the inputs.
 
-    Returns (grad dict keyed fwd.*/bwd.*, per-position input gradients in
-    original sequence order).
+    Returns (grad dict keyed fwd.*/bwd.*, input gradients with one row
+    per input, in the order of xs).
     """
     h = p.hidden_size
-    if d_out.shape != (2 * h,):
-        raise ValueError(f"d_out shape {d_out.shape} != ({2 * h},)")
-    g_fwd, d_xs_fwd, _ = rnn_backward(p.fwd, trace.fwd, d_out[:h])
-    g_bwd, d_xs_bwd, _ = rnn_backward(p.bwd, trace.bwd, d_out[h:])
-    d_xs = [a + b for a, b in zip(d_xs_fwd, reversed(d_xs_bwd))]
+    pk = trace.packing
+    want = (2 * h,) if pk is None else (len(pk.order), 2 * h)
+    if d_out.shape != want:
+        raise ValueError(f"d_out shape {d_out.shape} != {want}")
+    d_sorted = d_out if pk is None else d_out[pk.order]
+    g_fwd, d_xs_fwd, _ = rnn_backward(p.fwd, trace.fwd, d_sorted[..., :h])
+    g_bwd, d_xs_bwd, _ = rnn_backward(p.bwd, trace.bwd, d_sorted[..., h:])
+    if pk is None:
+        d_xs = d_xs_fwd + d_xs_bwd[::-1]
+    else:
+        d_xs = np.empty_like(d_xs_fwd)
+        d_xs[pk.fwd] = d_xs_fwd
+        d_xs[pk.bwd] += d_xs_bwd
     grads = {f"fwd.{k}": v for k, v in g_fwd.items()}
     grads.update({f"bwd.{k}": v for k, v in g_bwd.items()})
     return grads, d_xs

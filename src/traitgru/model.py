@@ -16,6 +16,21 @@ embedding vector entering the top-level recurrent encoder (the composed
 word vectors here, the lookup vectors in the baselines' word case) and
 to the sentence vector entering the MLP.  Inference never applies a
 mask.
+
+All words of one tweet share one character pass.  Their characters are
+concatenated in token order and packed: the words are sorted by length,
+longest first and stable among equal lengths, and step t advances only
+the words longer than t, without padding, as one matrix product per
+direction (Ling et al. 2015, arXiv:1508.02096, compose words this way;
+the stacked, batched cell follows Appleyard et al. 2016).  The backward
+pass runs once over those steps, and the embedding gradient is one
+scatter-add over the concatenated character ids.  The word level and
+both baselines run the same unroll over a single sequence.
+
+Packing stops at the tweet boundary on purpose: packing a whole
+mini-batch would keep the traces of all its tweets alive at once (47 MB
+for 32 tweets of 64 characters on average at paper dimensions), while
+one tweet's traces are freed as soon as its gradients are added.
 """
 
 from collections import OrderedDict
@@ -26,7 +41,8 @@ import numpy as np
 
 from . import kernel
 from .data import CharVocab
-from .gru import BiRnnParams, BiRnnTrace, birnn_backward, birnn_forward, birnn_output
+from .gru import (TENSOR_NAMES, BiRnnParams, BiRnnTrace, GruParams, birnn_backward,
+                  birnn_forward, birnn_output)
 from .rng import SplitMix64
 
 
@@ -96,20 +112,15 @@ class HeadTrace:
 
 
 @dataclass
-class WordTrace:
-    char_ids: list
-    birnn: BiRnnTrace
-    e_w: np.ndarray
-    mask: np.ndarray  # None when no word-site dropout
-    x_fed: np.ndarray
-
-
-@dataclass
 class SentenceTrace:
     """Everything the end-to-end backward pass needs."""
 
     tokens: tuple
-    word_traces: list
+    char_ids: np.ndarray     # every token's character ids, concatenated in token order
+    chars: BiRnnTrace        # the packed character pass over all tokens
+    e_w: np.ndarray          # word vectors, one row per token
+    word_mask: np.ndarray    # same shape as e_w; None when no word-site dropout
+    x_fed: np.ndarray        # e_w after the mask: the word-level input
     word_birnn: BiRnnTrace
     e_s: np.ndarray
     sent_mask: np.ndarray  # None when no sentence-site dropout
@@ -208,7 +219,7 @@ class FlatTrace:
     """Trace for the single-level baselines."""
 
     ids: list
-    masks: list  # per-position input masks or None
+    masks: np.ndarray  # per-position input masks, one row each; None when unmasked
     birnn: BiRnnTrace
     e_s: np.ndarray
     sent_mask: np.ndarray
@@ -222,9 +233,18 @@ def embed_chars(vocab: CharVocab, e_c: np.ndarray, word: str) -> list:
     return [e_c[:, vocab.id_of(c)] for c in word]
 
 
+def _compose_words(params: ModelParams, vocab: CharVocab, tokens):
+    """One packed character pass over all tokens: (concatenated character
+    ids, its trace, word vectors with one row per token)."""
+    ids = [vocab.ids_of(tok) for tok in tokens]
+    char_ids = np.fromiter((i for word in ids for i in word), dtype=np.intp)
+    chars = birnn_forward(params.char_birnn, params.e_c.T[char_ids], [len(w) for w in ids])
+    return char_ids, chars, birnn_output(chars)
+
+
 def compose_word(params: ModelParams, vocab: CharVocab, word: str) -> np.ndarray:
     """Word vector: [final fwd char state ; final bwd char state]."""
-    return birnn_output(birnn_forward(params.char_birnn, embed_chars(vocab, params.e_c, word)))
+    return _compose_words(params, vocab, (word,))[2][0]
 
 
 def _head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
@@ -251,37 +271,41 @@ def _head_backward(head: MlpHead, tr: HeadTrace, d_y: float, grads: dict) -> np.
     return head.w_eh.T @ d_pre
 
 
+def _words_dropped(dropout: DropoutPlan) -> bool:
+    return dropout is not None and dropout.on_words and dropout.rate > 0.0
+
+
+def _sentence_mask(dropout: DropoutPlan, n: int):
+    if dropout is not None and dropout.on_sentence and dropout.rate > 0.0:
+        return dropout.draw_mask(n)
+    return None
+
+
 def encode_sentence(params: ModelParams, vocab: CharVocab, tokens,
                     dropout: DropoutPlan = None):
     """Bottom-up encoding; returns (sentence vector, trace).
 
-    Word masks are drawn in token order, then the sentence mask, so the
-    dropout stream is consumed deterministically.
+    The characters of all tokens run through the character bi-GRU in one
+    packed pass: the tokens are sorted by length, longest first (stable),
+    and step t advances only the tokens longer than t, as one matrix
+    product per direction.  The character level draws no dropout.  Word
+    masks are then drawn in token order (one draw of tokens x 2h values,
+    the same stream values as one draw per token), then the sentence
+    mask, so the dropout stream is consumed deterministically.
     """
     if not tokens:
         raise ValueError("cannot encode an empty token sequence")
-    word_traces = []
-    xs = []
-    for tok in tokens:
-        ids = vocab.ids_of(tok)
-        cs = [params.e_c[:, i] for i in ids]
-        bt = birnn_forward(params.char_birnn, cs)
-        e_w = birnn_output(bt)
-        mask = None
-        x = e_w
-        if dropout is not None and dropout.on_words and dropout.rate > 0.0:
-            mask = dropout.draw_mask(e_w.shape[0])
-            x = e_w * mask
-        word_traces.append(WordTrace(char_ids=ids, birnn=bt, e_w=e_w, mask=mask, x_fed=x))
-        xs.append(x)
-    wt = birnn_forward(params.word_birnn, xs)
+    char_ids, chars, e_w = _compose_words(params, vocab, tokens)
+    word_mask = None
+    x = e_w
+    if _words_dropped(dropout):
+        word_mask = dropout.draw_mask(e_w.size).reshape(e_w.shape)
+        x = e_w * word_mask
+    wt = birnn_forward(params.word_birnn, x)
     e_s = birnn_output(wt)
-    sent_mask = None
-    if dropout is not None and dropout.on_sentence and dropout.rate > 0.0:
-        sent_mask = dropout.draw_mask(e_s.shape[0])
     return e_s, SentenceTrace(
-        tokens=tuple(tokens), word_traces=word_traces, word_birnn=wt,
-        e_s=e_s, sent_mask=sent_mask,
+        tokens=tuple(tokens), char_ids=char_ids, chars=chars, e_w=e_w, word_mask=word_mask,
+        x_fed=x, word_birnn=wt, e_s=e_s, sent_mask=_sentence_mask(dropout, e_s.shape[0]),
     )
 
 
@@ -298,12 +322,19 @@ def zero_grads(params) -> "OrderedDict[str, np.ndarray]":
     return OrderedDict((k, np.zeros_like(v)) for k, v in params.tensors().items())
 
 
+def _add_grads(grads: dict, prefix: str, delta: dict) -> None:
+    for k, v in delta.items():
+        grads[prefix + k] += v
+
+
 def backward_full(params: ModelParams, trace: SentenceTrace, d_y: float,
                   grads: dict = None) -> dict:
     """Exact gradients of the score w.r.t. every tensor, scaled by d_y.
 
-    Embedding gradients land only in the columns of the characters that
-    were actually seen.  Pass grads to accumulate across examples.
+    The packed character pass is differentiated in one backward pass per
+    direction, and its input gradients land in the embedding columns of
+    the characters actually seen, in one scatter-add.  Pass grads to
+    accumulate across examples.
     """
     if trace.head is None:
         raise ValueError("trace has no head stage; run forward_tweet first")
@@ -311,16 +342,12 @@ def backward_full(params: ModelParams, trace: SentenceTrace, d_y: float,
         grads = zero_grads(params)
     d_in = _head_backward(params.head, trace.head, d_y, grads)
     d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    wg, d_xs = birnn_backward(params.word_birnn, trace.word_birnn, d_e_s)
-    for k, v in wg.items():
-        grads["word_" + k] += v
-    for wt, d_x in zip(trace.word_traces, d_xs):
-        d_e_w = d_x * wt.mask if wt.mask is not None else d_x
-        cg, d_cs = birnn_backward(params.char_birnn, wt.birnn, d_e_w)
-        for k, v in cg.items():
-            grads["char_" + k] += v
-        for cid, d_c in zip(wt.char_ids, d_cs):
-            grads["e_c"][:, cid] += d_c
+    wg, d_x = birnn_backward(params.word_birnn, trace.word_birnn, d_e_s)
+    _add_grads(grads, "word_", wg)
+    d_e_w = d_x * trace.word_mask if trace.word_mask is not None else d_x
+    cg, d_cs = birnn_backward(params.char_birnn, trace.chars, d_e_w)
+    _add_grads(grads, "char_", cg)
+    np.add.at(grads["e_c"].T, trace.char_ids, d_cs)
     return grads
 
 
@@ -330,20 +357,14 @@ def flat_forward(params, ids: list, dropout: DropoutPlan = None,
     if not ids:
         raise ValueError("cannot encode an empty id sequence")
     table = params.e_c if isinstance(params, CharGruParams) else params.e_w
-    xs, masks = [], []
-    for i in ids:
-        v = table[:, i]
-        mask = None
-        if mask_inputs and dropout is not None and dropout.on_words and dropout.rate > 0.0:
-            mask = dropout.draw_mask(v.shape[0])
-            v = v * mask
-        xs.append(v)
-        masks.append(mask)
+    xs = table.T[ids]
+    masks = None
+    if mask_inputs and _words_dropped(dropout):
+        masks = dropout.draw_mask(xs.size).reshape(xs.shape)
+        xs = xs * masks
     bt = birnn_forward(params.birnn, xs)
     e_s = birnn_output(bt)
-    sent_mask = None
-    if dropout is not None and dropout.on_sentence and dropout.rate > 0.0:
-        sent_mask = dropout.draw_mask(e_s.shape[0])
+    sent_mask = _sentence_mask(dropout, e_s.shape[0])
     x = e_s * sent_mask if sent_mask is not None else e_s
     head = _head_forward(params.head, x)
     trace = FlatTrace(ids=list(ids), masks=masks, birnn=bt, e_s=e_s,
@@ -359,11 +380,10 @@ def flat_backward(params, trace: FlatTrace, d_y: float, grads: dict = None) -> d
     d_in = _head_backward(params.head, trace.head, d_y, grads)
     d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
     bg, d_xs = birnn_backward(params.birnn, trace.birnn, d_e_s)
-    for k, v in bg.items():
-        grads[prefix + k] += v
-    for i, mask, d_x in zip(trace.ids, trace.masks, d_xs):
-        d_v = d_x * mask if mask is not None else d_x
-        grads[table_key][:, i] += d_v
+    _add_grads(grads, prefix, bg)
+    if trace.masks is not None:
+        d_xs = d_xs * trace.masks
+    np.add.at(grads[table_key].T, trace.ids, d_xs)
     return grads
 
 
@@ -378,16 +398,54 @@ def mse_loss(preds, truths) -> float:
     return float(np.mean((t - p) ** 2))
 
 
-def _gru_from(tensors: dict, prefix: str):
-    from .gru import GruParams
+def _gru_shapes(prefix: str, d_in: int, h: int) -> list:
+    shapes = []
+    for direction in ("fwd", "bwd"):
+        for name in ("w_z", "w_r", "w_h"):
+            shapes.append((f"{prefix}{direction}.{name}", (h, d_in)))
+        for name in ("u_z", "u_r", "u_h"):
+            shapes.append((f"{prefix}{direction}.{name}", (h, h)))
+        for name in ("b_z", "b_r", "b_h"):
+            shapes.append((f"{prefix}{direction}.{name}", (h,)))
+    return shapes
 
-    return GruParams(**{name: tensors[prefix + name]
-                        for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
-                                     "b_z", "b_r", "b_h")})
+
+def tensor_shapes(kind: ModelKind, dims: dict) -> list:
+    """(name, shape) of every tensor of the kind, in checkpoint order."""
+    if kind == ModelKind.C2W2S4PT:
+        d_c, h_c = dims["char_dim"], dims["char_hidden"]
+        h_w, m = dims["word_hidden"], dims["mlp_dim"]
+        shapes = [("e_c", (d_c, dims["vocab_size"]))]
+        shapes += _gru_shapes("char_", d_c, h_c)
+        shapes += _gru_shapes("word_", 2 * h_c, h_w)
+        head_in = 2 * h_w
+    elif kind == ModelKind.BI_GRU_CHAR:
+        d_c, h, m = dims["char_dim"], dims["hidden"], dims["mlp_dim"]
+        shapes = [("e_c", (d_c, dims["vocab_size"]))]
+        shapes += _gru_shapes("char_", d_c, h)
+        head_in = 2 * h
+    elif kind == ModelKind.BI_GRU_WORD:
+        d_w, h, m = dims["word_dim"], dims["hidden"], dims["mlp_dim"]
+        shapes = [("e_w", (d_w, dims["vocab_size"]))]
+        shapes += _gru_shapes("word_", d_w, h)
+        head_in = 2 * h
+    else:
+        raise ValueError(f"kind {kind} has no tensors")
+    shapes += [("w_eh", (m, head_in)), ("b_h", (m,)), ("w_hy", (1, m)), ("b_y", (1,))]
+    return shapes
+
+
+def _gru_from(tensors: dict, prefix: str) -> GruParams:
+    return GruParams(**{name: tensors[prefix + name] for name in TENSOR_NAMES})
 
 
 def build_params(kind: ModelKind, tensors: dict):
-    """Reassemble a parameter bundle from named tensors (checkpoint path)."""
+    """Assemble a parameter bundle from named tensors (checkpoint path).
+
+    GRU tensors that are the row blocks of one stacked array, as the
+    tensors() of every bundle are, are used in place; others are copied
+    into a new stack.
+    """
     head = MlpHead(w_eh=tensors["w_eh"], b_h=tensors["b_h"],
                    w_hy=tensors["w_hy"], b_y=tensors["b_y"])
     if kind == ModelKind.C2W2S4PT:
@@ -410,6 +468,21 @@ def build_params(kind: ModelKind, tensors: dict):
             head=head,
         )
     raise ValueError(f"kind {kind} has no tensor bundle")
+
+
+def empty_params(kind: ModelKind, dims: dict):
+    """The kind's zero-filled bundle, allocated from tensor_shapes: its
+    tensors() are exactly those names and shapes, in that order, and each
+    GRU direction's nine are views of its stacked W, U and b."""
+    tensors = {}
+    for name, shape in tensor_shapes(kind, dims):
+        if name.endswith(".w_z"):
+            h, d = shape
+            prefix = name[:-len("w_z")]
+            tensors.update((prefix + k, v) for k, v in GruParams.zeros(d, h).tensors().items())
+        elif name not in tensors:
+            tensors[name] = np.zeros(shape)
+    return build_params(kind, tensors)
 
 
 @dataclass

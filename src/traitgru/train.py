@@ -5,6 +5,13 @@ checkpoint bit-for-bit.  Shuffling and dropout use independent streams
 derived from the master seed, so turning dropout off never perturbs the
 batch order.  Per-batch gradients are the mean over examples, reduced in
 ascending example-index order.
+
+Each example is one forward and one backward pass over one tweet; the
+model packs the words of that tweet into one character pass (see
+model.py) but never packs several tweets, so the reduction order above
+is unchanged.  The dropout stream is consumed per example in that
+ascending order: the character level draws nothing, then the word masks
+in token order, then the sentence mask.
 """
 
 import time
@@ -15,7 +22,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import Tweet, TraitScores, build_char_vocab, build_word_vocab
 from .model import (DropoutPlan, ModelKind, Regressor, TRAINABLE_KINDS,
-                    build_params, mse_loss, zero_grads)
+                    empty_params, mse_loss, zero_grads)
 from .rng import SplitMix64
 
 
@@ -153,27 +160,10 @@ def _glorot(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     return rng.uniforms(rows * cols, -bound, bound).reshape(rows, cols)
 
 
-def _init_tensor(name: str, shape, rng: SplitMix64, scheme: str) -> np.ndarray:
-    if scheme == "zeros":
-        return np.zeros(shape)
-    base = name.rsplit(".", 1)[-1]
-    if base.startswith("b_"):
-        return np.zeros(shape)
+def _init_values(name: str, shape, rng: SplitMix64) -> np.ndarray:
     if name in ("e_c", "e_w"):
         return rng.derive(name).uniforms(int(np.prod(shape)), -0.1, 0.1).reshape(shape)
     return _glorot(rng.derive(name), shape[0], shape[1])
-
-
-def _gru_shapes(prefix: str, d_in: int, h: int) -> list:
-    shapes = []
-    for direction in ("fwd", "bwd"):
-        for name in ("w_z", "w_r", "w_h"):
-            shapes.append((f"{prefix}{direction}.{name}", (h, d_in)))
-        for name in ("u_z", "u_r", "u_h"):
-            shapes.append((f"{prefix}{direction}.{name}", (h, h)))
-        for name in ("b_z", "b_r", "b_h"):
-            shapes.append((f"{prefix}{direction}.{name}", (h,)))
-    return shapes
 
 
 def model_dims(kind: ModelKind, cfg: TrainConfig, vocab) -> dict:
@@ -191,38 +181,18 @@ def model_dims(kind: ModelKind, cfg: TrainConfig, vocab) -> dict:
     raise ValueError(f"kind {kind} has no dimension record")
 
 
-def _tensor_shapes(kind: ModelKind, dims: dict) -> list:
-    if kind == ModelKind.C2W2S4PT:
-        d_c, h_c = dims["char_dim"], dims["char_hidden"]
-        h_w, m = dims["word_hidden"], dims["mlp_dim"]
-        shapes = [("e_c", (d_c, dims["vocab_size"]))]
-        shapes += _gru_shapes("char_", d_c, h_c)
-        shapes += _gru_shapes("word_", 2 * h_c, h_w)
-        head_in = 2 * h_w
-    elif kind == ModelKind.BI_GRU_CHAR:
-        d_c, h, m = dims["char_dim"], dims["hidden"], dims["mlp_dim"]
-        shapes = [("e_c", (d_c, dims["vocab_size"]))]
-        shapes += _gru_shapes("char_", d_c, h)
-        head_in = 2 * h
-    elif kind == ModelKind.BI_GRU_WORD:
-        d_w, h, m = dims["word_dim"], dims["hidden"], dims["mlp_dim"]
-        shapes = [("e_w", (d_w, dims["vocab_size"]))]
-        shapes += _gru_shapes("word_", d_w, h)
-        head_in = 2 * h
-    else:
-        raise ValueError(f"kind {kind} has no tensors")
-    shapes += [("w_eh", (m, head_in)), ("b_h", (m,)), ("w_hy", (1, m)), ("b_y", (1,))]
-    return shapes
-
-
 def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
     """Deterministic initialization: Glorot-uniform weights, zero biases,
     embedding columns uniform in [-0.1, 0.1].  Each tensor draws from its
-    own name-derived stream, so values do not depend on creation order."""
+    own name-derived stream, so values do not depend on creation order;
+    the draws fill the named views of the kind's stacked bundle."""
     rng = SplitMix64(seed).derive("init")
-    tensors = {name: _init_tensor(name, shape, rng, scheme)
-               for name, shape in _tensor_shapes(kind, dims)}
-    return build_params(kind, tensors)
+    params = empty_params(kind, dims)
+    if scheme != "zeros":
+        for name, view in params.tensors().items():
+            if not name.rsplit(".", 1)[-1].startswith("b_"):
+                view[...] = _init_values(name, view.shape, rng)
+    return params
 
 
 def dropout_apply(v: np.ndarray, rate: float, rng: SplitMix64):

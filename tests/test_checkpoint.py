@@ -1,6 +1,11 @@
+import struct
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 
 from traitgru import checkpoint as C
+from traitgru.cli import main
 from traitgru.data import build_tweets, generate_fixture
 from traitgru.model import ModelKind
 from traitgru.train import TrainConfig, train
@@ -77,3 +82,99 @@ def test_word_vocab_roundtrip(tmp_path):
     loaded = C.load(path)
     assert loaded.vocab.word_to_id == ckpt.vocab.word_to_id
     assert loaded.to_regressor().score(tweets[0]) == ckpt.to_regressor().score(tweets[0])
+
+
+def _count_offset(blob: bytes) -> int:
+    """Offset of the u32 tensor count: magic, version, header length, header."""
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    return 20 + header_len
+
+
+def _expect_rejected(path, match, capsys):
+    with pytest.raises(C.CheckpointError, match=match):
+        C.load(path)
+    assert main(["predict", "--model", str(path), "--text", "hello there"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_same_seed_with_dropout_gives_identical_bytes(trained, tmp_path):
+    _, path, tweets = trained
+    cfg = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2,
+                      epochs=2, dropout_rate=0.5, seed=7)
+    again = tmp_path / "again.ckpt"
+    C.save(train(ModelKind.C2W2S4PT, tweets, "ext", cfg)[0], again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_loaded_tensors_are_views_of_the_stacks(trained):
+    _, path, _ = trained
+    ckpt = C.load(path)
+    reg = ckpt.to_regressor()
+    for birnn in (reg.params.char_birnn, reg.params.word_birnn):
+        for p in (birnn.fwd, birnn.bwd):
+            for name, view in p.tensors().items():
+                assert np.shares_memory(view, {"w": p.W, "u": p.U, "b": p.b}[name[0]]), name
+    for name, arr in reg.tensors().items():
+        assert arr is ckpt.tensors[name] or np.shares_memory(arr, ckpt.tensors[name]), name
+
+
+def test_missing_tensor_names_it(trained, tmp_path, capsys):
+    _, path, _ = trained
+    ckpt = C.load(path)
+    del ckpt.tensors["b_y"]
+    bad = tmp_path / "no_b_y.ckpt"
+    C.save(ckpt, bad)
+    err = _expect_rejected(bad, "b_y", capsys)
+    assert "b_y" in err
+
+
+def test_unknown_tensor_rejected(trained, tmp_path, capsys):
+    _, path, _ = trained
+    ckpt = C.load(path)
+    ckpt.tensors["extra"] = np.zeros(2)
+    bad = tmp_path / "extra.ckpt"
+    C.save(ckpt, bad)
+    _expect_rejected(bad, "unknown tensor 'extra'", capsys)
+
+
+def test_duplicate_tensor_rejected(trained, tmp_path, capsys):
+    _, path, _ = trained
+    blob = path.read_bytes()
+    at = _count_offset(blob)
+    (count,) = struct.unpack_from("<I", blob, at)
+    b_y_record = struct.pack("<H", 3) + b"b_y" + struct.pack("<BQ", 1, 1) + struct.pack("<d", 0.5)
+    bad = tmp_path / "dup.ckpt"
+    bad.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + b_y_record)
+    _expect_rejected(bad, "b_y appears twice", capsys)
+
+
+def test_huge_header_length_rejected(trained, tmp_path, capsys):
+    _, path, _ = trained
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = struct.pack("<Q", 2**62)
+    bad = tmp_path / "header.ckpt"
+    bad.write_bytes(bytes(blob))
+    _expect_rejected(bad, "header length", capsys)
+
+
+def test_huge_shape_dimension_rejected(trained, tmp_path, capsys):
+    _, path, _ = trained
+    blob = bytearray(path.read_bytes())
+    # First tensor record: u16 name length, name "e_c", u8 rank, then dims.
+    dim0 = _count_offset(blob) + 4 + 2 + len(b"e_c") + 1
+    assert struct.unpack_from("<Q", blob, dim0)[0] == 2
+    blob[dim0:dim0 + 8] = struct.pack("<Q", 2**40)
+    bad = tmp_path / "shape.ckpt"
+    bad.write_bytes(bytes(blob))
+    _expect_rejected(bad, "e_c has shape", capsys)
+
+
+def test_dims_larger_than_the_file_rejected(trained, tmp_path, capsys):
+    ckpt, _, _ = trained
+    huge = C.Checkpoint(kind=ckpt.kind, dims={**ckpt.dims, "char_hidden": 2**20},
+                        vocab=ckpt.vocab, config=ckpt.config, tensors=OrderedDict())
+    bad = tmp_path / "dims.ckpt"
+    C.save(huge, bad)
+    _expect_rejected(bad, "bytes of tensors", capsys)

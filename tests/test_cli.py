@@ -206,3 +206,27 @@ def test_runtime_error_exits_1(tmp_path, capsys):
                  "--model-kind", "average", "--trait", "ext",
                  "--k", "5", "--level", "tweet"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _run_module(*argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import traitgru
+
+    src = str(Path(traitgru.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "traitgru.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    done = _run_module("gradcheck", "--model-kind", "bigru-word", "--trials", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("max relative error: ")
+    missing = _run_module("predict", "--model", str(tmp_path / "absent.ckpt"), "--text", "hi")
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error:") and missing.stdout == ""

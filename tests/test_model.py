@@ -132,7 +132,7 @@ class TestEncodeSentence:
         e_s, trace = encode_sentence(params, vocab, ("hi",))
         e_w = compose_word(params, vocab, "hi")
         np.testing.assert_array_equal(e_s, birnn_encode(params.word_birnn, [e_w]))
-        assert len(trace.word_traces) == 1
+        assert trace.e_w.shape == (1, e_w.shape[0])
 
     def test_zero_params_zero_sentence(self):
         vocab = CharVocab({"a": 0})
@@ -370,11 +370,11 @@ class TestDropoutPlumbing:
         dp = DropoutPlan(rate=0.5, rng=SplitMix64(1).derive("dropout"))
         _, trace = reg.forward(mk_tweet("ab cd"), dp)
         assert trace.sent_mask is not None
-        assert all(wt.mask is not None for wt in trace.word_traces)
-        kept = trace.word_traces[0].mask != 0
+        assert trace.word_mask is not None and trace.word_mask.shape == trace.e_w.shape
+        kept = trace.word_mask[0] != 0
         np.testing.assert_array_equal(
-            trace.word_traces[0].x_fed[kept],
-            (trace.word_traces[0].e_w * trace.word_traces[0].mask)[kept])
+            trace.x_fed[0][kept],
+            (trace.e_w[0] * trace.word_mask[0])[kept])
 
     def test_rate_zero_plan_is_identity(self):
         reg = tiny_regressor([mk_tweet("ab cd")], seed=31)
