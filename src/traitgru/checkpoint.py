@@ -18,10 +18,11 @@ Layout (all integers little-endian):
 save(load(path)) is byte-identical; any truncation or corruption raises
 CheckpointError.  load checks every length field against the bytes left
 in the file before it allocates anything: the header length, and the
-total tensor bytes the header's dims imply.  It then allocates the
-kind's zero bundle once and reads each tensor into its named view, so a
-tensor that is missing, unknown, repeated or of another shape than the
-dims give is an error, and every payload is bounded by that bundle.
+total tensor bytes the header's dims imply.  The vocabulary must be of
+the class the kind's spec names.  load then allocates the kind's zero
+bundle once and reads each tensor into its named view, so a tensor that
+is missing, unknown, repeated or of another shape than the dims give is
+an error, and every payload is bounded by that bundle.
 """
 
 import json
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CharVocab, WordVocab
-from .model import ModelKind, Regressor, build_params, empty_params, tensor_shapes
+from .model import ModelKind, Regressor, build_params, empty_params, spec_of, tensor_shapes
 
 MAGIC = b"TRAITCKP"
 FORMAT_VERSION = 1
@@ -120,6 +121,11 @@ def _header_fields(header_bytes: bytes):
     for name, shape in shapes:
         if not all(type(n) is int and n >= 1 for n in shape):
             raise CheckpointError(f"corrupt checkpoint header: dims give {name} the shape {shape}")
+    vocab_class = spec_of(kind).vocab
+    if not isinstance(vocab, vocab_class):
+        raise CheckpointError(f"corrupt checkpoint header: a {kind.value} model needs a "
+                              f"{vocab_class.__name__}, but the header holds a "
+                              f"{type(vocab).__name__}")
     if dims["vocab_size"] != vocab.size:
         raise CheckpointError(f"corrupt checkpoint header: vocab_size {dims['vocab_size']} "
                               f"but the vocabulary has {vocab.size} entries")

@@ -98,15 +98,10 @@ def cmd_predict(args) -> int:
         lines = [args.text]
     else:
         lines = sys.stdin.read().splitlines()
+    no_traits = data_mod.TraitScores(0, 0, 0, 0, 0)
     for line in lines:
-        normalized = data_mod.normalize_tweet(line)[:data_mod.MAX_TWEET_CHARS]
-        tokens = tuple(t[:data_mod.MAX_WORD_CHARS] for t in data_mod.tokenize(normalized))
-        if not tokens:
-            print("NA")
-            continue
-        tweet = data_mod.Tweet(user_id="stdin", normalized_text=normalized,
-                               tokens=tokens, traits=data_mod.TraitScores(0, 0, 0, 0, 0))
-        print(f"{reg.score(tweet):.6f}")
+        tweets, _ = data_mod.build_tweets([data_mod.RawRecord("stdin", line, no_traits)])
+        print(f"{reg.score(tweets[0]):.6f}" if tweets else "NA")
     return 0
 
 

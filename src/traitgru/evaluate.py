@@ -59,21 +59,12 @@ def rmse_user(user_pairs) -> float:
     return math.sqrt(sum((y - y_hat) ** 2 for _, y_hat, y in user_pairs) / len(user_pairs))
 
 
-@dataclass
-class AveragePredictor:
-    """Constant predictor at the training-set mean score."""
-
-    mean: float
-
-    def predict(self) -> float:
-        return self.mean
-
-
-def average_baseline_fit(train_scores) -> AveragePredictor:
+def average_baseline_fit(train_scores) -> float:
+    """The average baseline's constant prediction: the training-set mean."""
     scores = list(train_scores)
     if not scores:
         raise ValueError("average baseline needs at least one training score")
-    return AveragePredictor(mean=sum(scores) / len(scores))
+    return sum(scores) / len(scores)
 
 
 @dataclass
@@ -140,13 +131,13 @@ def run_cv(kind: ModelKind, tweets, trait: str, k: int, level: str,
                 seen = {}
                 for tw in train_tweets:
                     seen.setdefault(tw.user_id, tw.traits.get(trait))
-                predictor = average_baseline_fit(seen.values())
+                mean = average_baseline_fit(seen.values())
             else:
-                predictor = average_baseline_fit(tw.traits.get(trait) for tw in train_tweets)
-            detail.train_mean = predictor.mean
+                mean = average_baseline_fit(tw.traits.get(trait) for tw in train_tweets)
+            detail.train_mean = mean
             fold_preds = [
                 TweetPrediction(index=i, user_id=tw.user_id, trait=trait,
-                                y_hat=predictor.predict(), y=tw.traits.get(trait))
+                                y_hat=mean, y=tw.traits.get(trait))
                 for i, tw in zip(test_idx, test_tweets)
             ]
         else:

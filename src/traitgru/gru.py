@@ -397,7 +397,7 @@ def birnn_output(trace: BiRnnTrace) -> np.ndarray:
     """[final forward state ; backward state at sequence position 1];
     one row per sequence, in their own order, when packed."""
     if trace.packing is None:
-        return kernel.concat(trace.fwd[-1].h_new, trace.bwd[-1].h_new)
+        return np.concatenate((trace.fwd[-1].h_new, trace.bwd[-1].h_new))
     out = np.empty((len(trace.packing.order), 2 * trace.fwd[0].h_new.shape[1]))
     out[trace.packing.order] = np.concatenate(
         (_last_states(trace.fwd), _last_states(trace.bwd)), axis=1)

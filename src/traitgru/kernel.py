@@ -7,22 +7,6 @@ Shape mismatches and non-finite results are hard errors, never silent.
 import numpy as np
 
 
-def vec(data) -> np.ndarray:
-    """Copy data into a 1-D float64 vector."""
-    out = np.array(data, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"vec expects 1-D data, got shape {out.shape}")
-    return out
-
-
-def mat(data) -> np.ndarray:
-    """Copy data into a 2-D float64 matrix."""
-    out = np.array(data, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"mat expects 2-D data, got shape {out.shape}")
-    return out
-
-
 def require_finite(op: str, arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced non-finite values")
@@ -44,21 +28,5 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * v) + 1.0)
 
 
-def tanh_v(v: np.ndarray) -> np.ndarray:
-    return np.tanh(v)
-
-
 def relu_v(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equal-length vectors."""
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard length mismatch: {a.shape} vs {b.shape}")
-    return require_finite("hadamard", a * b)
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a followed by b."""
-    return np.concatenate([a, b])

@@ -17,6 +17,12 @@ word vectors here, the lookup vectors in the baselines' word case) and
 to the sentence vector entering the MLP.  Inference never applies a
 mask.
 
+The three trainable kinds differ only in what SPECS holds for each: the
+embedding table and its width, the bi-GRU levels bottom-up, the
+vocabulary and where its units come from, and whether the top level's
+inputs take the word-site mask.  One ModelParams class holds any kind's
+tensors, in the order the spec gives, which is the checkpoint order.
+
 All words of one tweet share one character pass.  Their characters are
 concatenated in token order and packed: the words are sorted by length,
 longest first and stable among equal lengths, and step t advances only
@@ -34,13 +40,13 @@ one tweet's traces are freed as soon as its gradients are added.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import kernel
-from .data import CharVocab
+from .data import CharVocab, WordVocab
 from .gru import (TENSOR_NAMES, BiRnnParams, BiRnnTrace, GruParams, birnn_backward,
                   birnn_forward, birnn_output)
 from .rng import SplitMix64
@@ -53,7 +59,41 @@ class ModelKind(str, Enum):
     C2W2S4PT = "c2w2s4pt"
 
 
-TRAINABLE_KINDS = (ModelKind.C2W2S4PT, ModelKind.BI_GRU_CHAR, ModelKind.BI_GRU_WORD)
+@dataclass(frozen=True)
+class KindSpec:
+    """What tells one trainable kind from another.
+
+    Every kind is an embedding table, one or more bi-GRU levels and the
+    MLP head; the spec names the parts.  It holds names and plain values
+    only, never functions, so the code that reads it calls the module's
+    functions by their global names.
+    """
+
+    table: str        # embedding tensor name
+    table_dim: str    # dims key of its width, also the TrainConfig field
+    levels: tuple     # (tensor-name prefix, hidden-size dims key) per level, bottom-up
+    vocab: type       # CharVocab or WordVocab
+    source: str       # ids come from the "tokens" or the normalized "text"
+    mask_top: bool    # word-site dropout on the top level's inputs
+
+
+SPECS = {
+    ModelKind.C2W2S4PT: KindSpec("e_c", "char_dim",
+                                 (("char_", "char_hidden"), ("word_", "word_hidden")),
+                                 CharVocab, "tokens", True),
+    ModelKind.BI_GRU_CHAR: KindSpec("e_c", "char_dim", (("char_", "hidden"),),
+                                    CharVocab, "text", False),
+    ModelKind.BI_GRU_WORD: KindSpec("e_w", "word_dim", (("word_", "hidden"),),
+                                    WordVocab, "tokens", True),
+}
+TRAINABLE_KINDS = tuple(SPECS)
+
+
+def spec_of(kind) -> KindSpec:
+    kind = ModelKind(kind)
+    if kind not in SPECS:
+        raise ValueError(f"kind {kind.value} is not trainable")
+    return SPECS[kind]
 
 
 @dataclass
@@ -128,88 +168,36 @@ class SentenceTrace:
 
 
 @dataclass
-class ModelDims:
-    char_dim: int = 50
-    char_hidden: int = 256
-    word_hidden: int = 256
-    mlp_dim: int = 256
-
-    def __post_init__(self):
-        for name in ("char_dim", "char_hidden", "word_hidden", "mlp_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
 class ModelParams:
-    """All tensors of the hierarchical model; the shape chain is validated."""
+    """All tensors of one trainable kind: the embedding table (width x
+    vocabulary), one bi-GRU per level of the kind's spec, bottom-up, and
+    the head.  The shape chain is validated level by level."""
 
-    e_c: np.ndarray  # char_dim x |C|
-    char_birnn: BiRnnParams
-    word_birnn: BiRnnParams
+    kind: ModelKind
+    table: np.ndarray
+    levels: tuple  # BiRnnParams, one per spec level
     head: MlpHead
+    spec: KindSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.char_birnn.input_size != self.e_c.shape[0]:
-            raise ValueError(
-                f"char rnn input {self.char_birnn.input_size} != embedding dim {self.e_c.shape[0]}"
-            )
-        if self.word_birnn.input_size != 2 * self.char_birnn.hidden_size:
-            raise ValueError(
-                f"word rnn input {self.word_birnn.input_size} != "
-                f"2 * char hidden {self.char_birnn.hidden_size}"
-            )
-        if self.head.in_dim != 2 * self.word_birnn.hidden_size:
-            raise ValueError(
-                f"mlp input {self.head.in_dim} != 2 * word hidden {self.word_birnn.hidden_size}"
-            )
+        self.spec = spec = spec_of(self.kind)
+        if len(self.levels) != len(spec.levels):
+            raise ValueError(f"{self.kind.value} has {len(spec.levels)} rnn levels, "
+                             f"got {len(self.levels)}")
+        need, what = self.table.shape[0], f"embedding dim {self.table.shape[0]}"
+        for (prefix, _), rnn in zip(spec.levels, self.levels):
+            level = prefix.rstrip("_")
+            if rnn.input_size != need:
+                raise ValueError(f"{level} rnn input {rnn.input_size} != {what}")
+            need, what = 2 * rnn.hidden_size, f"2 * {level} hidden {rnn.hidden_size}"
+        if self.head.in_dim != need:
+            raise ValueError(f"mlp input {self.head.in_dim} != {what}")
 
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
-        out = OrderedDict([("e_c", self.e_c)])
-        out.update(self.char_birnn.tensors("char_"))
-        out.update(self.word_birnn.tensors("word_"))
-        out.update(self.head.tensors())
-        return out
-
-
-@dataclass
-class CharGruParams:
-    """Character-only baseline: one bi-GRU over the whole normalized text."""
-
-    e_c: np.ndarray
-    birnn: BiRnnParams
-    head: MlpHead
-
-    def __post_init__(self):
-        if self.birnn.input_size != self.e_c.shape[0]:
-            raise ValueError("char rnn input dim != embedding dim")
-        if self.head.in_dim != 2 * self.birnn.hidden_size:
-            raise ValueError("mlp input dim != 2 * hidden")
-
-    def tensors(self) -> "OrderedDict[str, np.ndarray]":
-        out = OrderedDict([("e_c", self.e_c)])
-        out.update(self.birnn.tensors("char_"))
-        out.update(self.head.tensors())
-        return out
-
-
-@dataclass
-class WordGruParams:
-    """Word-only baseline: trainable token lookup plus one bi-GRU."""
-
-    e_w: np.ndarray  # word_dim x |V|
-    birnn: BiRnnParams
-    head: MlpHead
-
-    def __post_init__(self):
-        if self.birnn.input_size != self.e_w.shape[0]:
-            raise ValueError("word rnn input dim != embedding dim")
-        if self.head.in_dim != 2 * self.birnn.hidden_size:
-            raise ValueError("mlp input dim != 2 * hidden")
-
-    def tensors(self) -> "OrderedDict[str, np.ndarray]":
-        out = OrderedDict([("e_w", self.e_w)])
-        out.update(self.birnn.tensors("word_"))
+        spec = self.spec
+        out = OrderedDict([(spec.table, self.table)])
+        for (prefix, _), rnn in zip(spec.levels, self.levels):
+            out.update(rnn.tensors(prefix))
         out.update(self.head.tensors())
         return out
 
@@ -226,25 +214,13 @@ class FlatTrace:
     head: HeadTrace = None
 
 
-def embed_chars(vocab: CharVocab, e_c: np.ndarray, word: str) -> list:
-    """Column-lookup embedding of each character; unseen chars map to UNK."""
-    if not word:
-        raise ValueError("cannot embed an empty word")
-    return [e_c[:, vocab.id_of(c)] for c in word]
-
-
 def _compose_words(params: ModelParams, vocab: CharVocab, tokens):
     """One packed character pass over all tokens: (concatenated character
     ids, its trace, word vectors with one row per token)."""
     ids = [vocab.ids_of(tok) for tok in tokens]
     char_ids = np.fromiter((i for word in ids for i in word), dtype=np.intp)
-    chars = birnn_forward(params.char_birnn, params.e_c.T[char_ids], [len(w) for w in ids])
+    chars = birnn_forward(params.levels[0], params.table.T[char_ids], [len(w) for w in ids])
     return char_ids, chars, birnn_output(chars)
-
-
-def compose_word(params: ModelParams, vocab: CharVocab, word: str) -> np.ndarray:
-    """Word vector: [final fwd char state ; final bwd char state]."""
-    return _compose_words(params, vocab, (word,))[2][0]
 
 
 def _head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
@@ -254,9 +230,8 @@ def _head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
     return HeadTrace(x_fed=x, pre_relu=pre, h_s=h_s, y=y)
 
 
-def predict(params, e_s: np.ndarray, mask: np.ndarray = None) -> float:
+def predict(head: MlpHead, e_s: np.ndarray, mask: np.ndarray = None) -> float:
     """MLP head on the sentence vector; mask only during training."""
-    head = params.head if hasattr(params, "head") else params
     x = e_s * mask if mask is not None else e_s
     return _head_forward(head, x).y
 
@@ -298,10 +273,10 @@ def encode_sentence(params: ModelParams, vocab: CharVocab, tokens,
     char_ids, chars, e_w = _compose_words(params, vocab, tokens)
     word_mask = None
     x = e_w
-    if _words_dropped(dropout):
+    if params.spec.mask_top and _words_dropped(dropout):
         word_mask = dropout.draw_mask(e_w.size).reshape(e_w.shape)
         x = e_w * word_mask
-    wt = birnn_forward(params.word_birnn, x)
+    wt = birnn_forward(params.levels[1], x)
     e_s = birnn_output(wt)
     return e_s, SentenceTrace(
         tokens=tuple(tokens), char_ids=char_ids, chars=chars, e_w=e_w, word_mask=word_mask,
@@ -340,29 +315,30 @@ def backward_full(params: ModelParams, trace: SentenceTrace, d_y: float,
         raise ValueError("trace has no head stage; run forward_tweet first")
     if grads is None:
         grads = zero_grads(params)
+    spec = params.spec
+    (char_prefix, _), (word_prefix, _) = spec.levels
+    char_rnn, word_rnn = params.levels
     d_in = _head_backward(params.head, trace.head, d_y, grads)
     d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    wg, d_x = birnn_backward(params.word_birnn, trace.word_birnn, d_e_s)
-    _add_grads(grads, "word_", wg)
+    wg, d_x = birnn_backward(word_rnn, trace.word_birnn, d_e_s)
+    _add_grads(grads, word_prefix, wg)
     d_e_w = d_x * trace.word_mask if trace.word_mask is not None else d_x
-    cg, d_cs = birnn_backward(params.char_birnn, trace.chars, d_e_w)
-    _add_grads(grads, "char_", cg)
-    np.add.at(grads["e_c"].T, trace.char_ids, d_cs)
+    cg, d_cs = birnn_backward(char_rnn, trace.chars, d_e_w)
+    _add_grads(grads, char_prefix, cg)
+    np.add.at(grads[spec.table].T, trace.char_ids, d_cs)
     return grads
 
 
-def flat_forward(params, ids: list, dropout: DropoutPlan = None,
-                 mask_inputs: bool = False):
+def flat_forward(params: ModelParams, ids: list, dropout: DropoutPlan = None):
     """Shared forward for the single-level baselines over embedding ids."""
     if not ids:
         raise ValueError("cannot encode an empty id sequence")
-    table = params.e_c if isinstance(params, CharGruParams) else params.e_w
-    xs = table.T[ids]
+    xs = params.table.T[ids]
     masks = None
-    if mask_inputs and _words_dropped(dropout):
+    if params.spec.mask_top and _words_dropped(dropout):
         masks = dropout.draw_mask(xs.size).reshape(xs.shape)
         xs = xs * masks
-    bt = birnn_forward(params.birnn, xs)
+    bt = birnn_forward(params.levels[0], xs)
     e_s = birnn_output(bt)
     sent_mask = _sentence_mask(dropout, e_s.shape[0])
     x = e_s * sent_mask if sent_mask is not None else e_s
@@ -372,18 +348,19 @@ def flat_forward(params, ids: list, dropout: DropoutPlan = None,
     return head.y, trace
 
 
-def flat_backward(params, trace: FlatTrace, d_y: float, grads: dict = None) -> dict:
+def flat_backward(params: ModelParams, trace: FlatTrace, d_y: float,
+                  grads: dict = None) -> dict:
     if grads is None:
         grads = zero_grads(params)
-    prefix = "char_" if isinstance(params, CharGruParams) else "word_"
-    table_key = "e_c" if isinstance(params, CharGruParams) else "e_w"
+    spec = params.spec
+    ((prefix, _),) = spec.levels
     d_in = _head_backward(params.head, trace.head, d_y, grads)
     d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    bg, d_xs = birnn_backward(params.birnn, trace.birnn, d_e_s)
+    bg, d_xs = birnn_backward(params.levels[0], trace.birnn, d_e_s)
     _add_grads(grads, prefix, bg)
     if trace.masks is not None:
         d_xs = d_xs * trace.masks
-    np.add.at(grads[table_key].T, trace.ids, d_xs)
+    np.add.at(grads[spec.table].T, trace.ids, d_xs)
     return grads
 
 
@@ -412,62 +389,34 @@ def _gru_shapes(prefix: str, d_in: int, h: int) -> list:
 
 def tensor_shapes(kind: ModelKind, dims: dict) -> list:
     """(name, shape) of every tensor of the kind, in checkpoint order."""
-    if kind == ModelKind.C2W2S4PT:
-        d_c, h_c = dims["char_dim"], dims["char_hidden"]
-        h_w, m = dims["word_hidden"], dims["mlp_dim"]
-        shapes = [("e_c", (d_c, dims["vocab_size"]))]
-        shapes += _gru_shapes("char_", d_c, h_c)
-        shapes += _gru_shapes("word_", 2 * h_c, h_w)
-        head_in = 2 * h_w
-    elif kind == ModelKind.BI_GRU_CHAR:
-        d_c, h, m = dims["char_dim"], dims["hidden"], dims["mlp_dim"]
-        shapes = [("e_c", (d_c, dims["vocab_size"]))]
-        shapes += _gru_shapes("char_", d_c, h)
-        head_in = 2 * h
-    elif kind == ModelKind.BI_GRU_WORD:
-        d_w, h, m = dims["word_dim"], dims["hidden"], dims["mlp_dim"]
-        shapes = [("e_w", (d_w, dims["vocab_size"]))]
-        shapes += _gru_shapes("word_", d_w, h)
-        head_in = 2 * h
-    else:
-        raise ValueError(f"kind {kind} has no tensors")
-    shapes += [("w_eh", (m, head_in)), ("b_h", (m,)), ("w_hy", (1, m)), ("b_y", (1,))]
-    return shapes
+    spec = spec_of(kind)
+    width = dims[spec.table_dim]
+    shapes = [(spec.table, (width, dims["vocab_size"]))]
+    for prefix, hidden_key in spec.levels:
+        shapes += _gru_shapes(prefix, width, dims[hidden_key])
+        width = 2 * dims[hidden_key]
+    m = dims["mlp_dim"]
+    return shapes + [("w_eh", (m, width)), ("b_h", (m,)), ("w_hy", (1, m)), ("b_y", (1,))]
 
 
 def _gru_from(tensors: dict, prefix: str) -> GruParams:
     return GruParams(**{name: tensors[prefix + name] for name in TENSOR_NAMES})
 
 
-def build_params(kind: ModelKind, tensors: dict):
+def build_params(kind: ModelKind, tensors: dict) -> ModelParams:
     """Assemble a parameter bundle from named tensors (checkpoint path).
 
     GRU tensors that are the row blocks of one stacked array, as the
     tensors() of every bundle are, are used in place; others are copied
     into a new stack.
     """
+    spec = spec_of(kind)
+    levels = tuple(BiRnnParams(_gru_from(tensors, prefix + "fwd."),
+                               _gru_from(tensors, prefix + "bwd."))
+                   for prefix, _ in spec.levels)
     head = MlpHead(w_eh=tensors["w_eh"], b_h=tensors["b_h"],
                    w_hy=tensors["w_hy"], b_y=tensors["b_y"])
-    if kind == ModelKind.C2W2S4PT:
-        return ModelParams(
-            e_c=tensors["e_c"],
-            char_birnn=BiRnnParams(_gru_from(tensors, "char_fwd."), _gru_from(tensors, "char_bwd.")),
-            word_birnn=BiRnnParams(_gru_from(tensors, "word_fwd."), _gru_from(tensors, "word_bwd.")),
-            head=head,
-        )
-    if kind == ModelKind.BI_GRU_CHAR:
-        return CharGruParams(
-            e_c=tensors["e_c"],
-            birnn=BiRnnParams(_gru_from(tensors, "char_fwd."), _gru_from(tensors, "char_bwd.")),
-            head=head,
-        )
-    if kind == ModelKind.BI_GRU_WORD:
-        return WordGruParams(
-            e_w=tensors["e_w"],
-            birnn=BiRnnParams(_gru_from(tensors, "word_fwd."), _gru_from(tensors, "word_bwd.")),
-            head=head,
-        )
-    raise ValueError(f"kind {kind} has no tensor bundle")
+    return ModelParams(ModelKind(kind), tensors[spec.table], levels, head)
 
 
 def empty_params(kind: ModelKind, dims: dict):
@@ -485,31 +434,36 @@ def empty_params(kind: ModelKind, dims: dict):
     return build_params(kind, tensors)
 
 
+def _units(spec: KindSpec, tweet):
+    return tweet.tokens if spec.source == "tokens" else tweet.normalized_text
+
+
 @dataclass
 class Regressor:
-    """One trainable model: kind, its parameter bundle and its vocabulary."""
+    """One trainable model: kind, its parameter bundle and its vocabulary.
+
+    A kind of two levels composes each token from its characters (the
+    packed pass of forward_tweet); a kind of one level looks each unit
+    up in its table (flat_forward).
+    """
 
     kind: ModelKind
-    params: object
-    vocab: object  # CharVocab or WordVocab
+    params: ModelParams
+    vocab: object  # the spec's vocabulary class
 
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
         return self.params.tensors()
 
     def forward(self, tweet, dropout: DropoutPlan = None):
         """(score, trace) for one tweet (anything with tokens/normalized_text)."""
-        if self.kind == ModelKind.C2W2S4PT:
-            return forward_tweet(self.params, self.vocab, tweet.tokens, dropout)
-        if self.kind == ModelKind.BI_GRU_CHAR:
-            ids = self.vocab.ids_of(tweet.normalized_text)
-            return flat_forward(self.params, ids, dropout, mask_inputs=False)
-        if self.kind == ModelKind.BI_GRU_WORD:
-            ids = [self.vocab.id_of(t) for t in tweet.tokens]
-            return flat_forward(self.params, ids, dropout, mask_inputs=True)
-        raise ValueError(f"kind {self.kind} is not a forward model")
+        spec = self.params.spec
+        units = _units(spec, tweet)
+        if len(spec.levels) > 1:
+            return forward_tweet(self.params, self.vocab, units, dropout)
+        return flat_forward(self.params, [self.vocab.id_of(u) for u in units], dropout)
 
     def backward(self, trace, d_y: float, grads: dict = None) -> dict:
-        if self.kind == ModelKind.C2W2S4PT:
+        if len(self.params.levels) > 1:
             return backward_full(self.params, trace, d_y, grads)
         return flat_backward(self.params, trace, d_y, grads)
 
@@ -518,7 +472,8 @@ class Regressor:
 
     def embedding(self, tweet) -> np.ndarray:
         """Sentence vector fed to the MLP head (inference, no dropout)."""
-        if self.kind == ModelKind.C2W2S4PT:
-            return encode_sentence(self.params, self.vocab, tweet.tokens)[0]
+        spec = self.params.spec
+        if len(spec.levels) > 1:
+            return encode_sentence(self.params, self.vocab, _units(spec, tweet))[0]
         _, trace = self.forward(tweet)
         return trace.e_s

@@ -14,15 +14,16 @@ ascending order: the character level draws nothing, then the word masks
 in token order, then the sentence mask.
 """
 
+import math
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .data import Tweet, TraitScores, build_char_vocab, build_word_vocab
-from .model import (DropoutPlan, ModelKind, Regressor, TRAINABLE_KINDS,
-                    empty_params, mse_loss, zero_grads)
+from .data import Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab
+from .model import (DropoutPlan, ModelKind, Regressor, empty_params, mse_loss, spec_of,
+                    zero_grads)
 from .rng import SplitMix64
 
 
@@ -47,6 +48,13 @@ class TrainConfig:
     clamp_outputs: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.batch_size < 1:
@@ -55,8 +63,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.init_scheme not in ("glorot", "zeros"):
             raise ValueError(f"unknown init_scheme {self.init_scheme!r}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive or none, got {self.clip_norm}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be positive and finite, or none, "
+                             f"got {self.clip_norm}")
         for name in ("char_dim", "hidden_size", "mlp_dim", "word_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -64,7 +74,6 @@ class TrainConfig:
 
 _BOOL_FIELDS = {"dropout_words", "dropout_sentence", "clamp_outputs"}
 _INT_FIELDS = {"batch_size", "epochs", "seed", "char_dim", "hidden_size", "mlp_dim", "word_dim"}
-_FLOAT_FIELDS = {"learning_rate", "beta1", "beta2", "epsilon", "dropout_rate"}
 
 
 def default_config() -> TrainConfig:
@@ -91,14 +100,18 @@ def parse_config_text(text: str) -> TrainConfig:
             if val.lower() not in ("true", "false"):
                 raise ValueError(f"config line {line_no}: {key} must be true or false")
             values[key] = val.lower() == "true"
-        elif key in _INT_FIELDS:
-            values[key] = int(val)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(val)
-        elif key == "clip_norm":
-            values[key] = None if val.lower() == "none" else float(val)
-        else:  # init_scheme
+        elif key == "init_scheme":
             values[key] = val
+        elif key == "clip_norm" and val.lower() == "none":
+            values[key] = None
+        else:
+            number = int if key in _INT_FIELDS else float
+            try:
+                values[key] = number(val)
+            except ValueError:
+                what = "an integer" if number is int else "a number"
+                raise ValueError(f"config line {line_no}: {key} must be {what}, "
+                                 f"got {val!r}") from None
     return TrainConfig(**values)
 
 
@@ -127,10 +140,6 @@ def config_fingerprint(cfg: TrainConfig) -> str:
 
 def config_as_dict(cfg: TrainConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-
-
-def config_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(**d)
 
 
 @dataclass
@@ -167,18 +176,14 @@ def _init_values(name: str, shape, rng: SplitMix64) -> np.ndarray:
 
 
 def model_dims(kind: ModelKind, cfg: TrainConfig, vocab) -> dict:
-    """Dimension record stored in checkpoints, per model kind."""
-    if kind == ModelKind.C2W2S4PT:
-        return {"char_dim": cfg.char_dim, "char_hidden": cfg.hidden_size,
-                "word_hidden": cfg.hidden_size, "mlp_dim": cfg.mlp_dim,
-                "vocab_size": vocab.size}
-    if kind == ModelKind.BI_GRU_CHAR:
-        return {"char_dim": cfg.char_dim, "hidden": cfg.hidden_size,
-                "mlp_dim": cfg.mlp_dim, "vocab_size": vocab.size}
-    if kind == ModelKind.BI_GRU_WORD:
-        return {"word_dim": cfg.word_dim, "hidden": cfg.hidden_size,
-                "mlp_dim": cfg.mlp_dim, "vocab_size": vocab.size}
-    raise ValueError(f"kind {kind} has no dimension record")
+    """Dimension record stored in checkpoints: the table width, the hidden
+    size of every level (all levels train at cfg.hidden_size), the MLP
+    width and the vocabulary size."""
+    spec = spec_of(kind)
+    dims = {spec.table_dim: getattr(cfg, spec.table_dim)}
+    dims.update((hidden_key, cfg.hidden_size) for _, hidden_key in spec.levels)
+    dims.update(mlp_dim=cfg.mlp_dim, vocab_size=vocab.size)
+    return dims
 
 
 def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
@@ -193,17 +198,6 @@ def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
             if not name.rsplit(".", 1)[-1].startswith("b_"):
                 view[...] = _init_values(name, view.shape, rng)
     return params
-
-
-def dropout_apply(v: np.ndarray, rate: float, rng: SplitMix64):
-    """Inverted dropout on a vector; returns (output, mask)."""
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        mask = np.ones_like(v)
-        return v.copy(), mask
-    mask = (rng.uniforms(v.shape[0]) >= rate).astype(np.float64) / (1.0 - rate)
-    return v * mask, mask
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
@@ -241,11 +235,10 @@ def clip_gradients(grads: dict, clip_norm: float) -> float:
 
 
 def build_vocab_for(kind: ModelKind, tweets):
-    if kind == ModelKind.BI_GRU_WORD:
+    spec = spec_of(kind)
+    if spec.vocab is WordVocab:
         return build_word_vocab(tweets)
-    if kind == ModelKind.BI_GRU_CHAR:
-        return build_char_vocab(tweets, source="text")
-    return build_char_vocab(tweets, source="tokens")
+    return build_char_vocab(tweets, source=spec.source)
 
 
 def _chunked(seq, size):
@@ -265,8 +258,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     e.g. to stream the epoch CSV.
     """
     kind = ModelKind(kind)
-    if kind not in TRAINABLE_KINDS:
-        raise ValueError(f"kind {kind.value} is not trainable")
+    spec_of(kind)  # rejects a kind that has no row in the spec table
     if fold_plan is not None:
         train_idx = fold_plan.train_indices(fold_index)
         val_idx = fold_plan.test_indices(fold_index)
@@ -330,13 +322,6 @@ EPOCH_CSV_HEADER = "epoch,loss,val_rmse,seconds\n"
 def epoch_csv_row(r: EpochReport) -> str:
     val = "" if r.val_rmse is None else repr(r.val_rmse)
     return f"{r.epoch},{r.loss!r},{val},{r.seconds:.3f}\n"
-
-
-def write_epoch_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EPOCH_CSV_HEADER)
-        for r in reports:
-            fh.write(epoch_csv_row(r))
 
 
 _GRADCHECK_ALPHABET = "abcdefg"
@@ -404,8 +389,7 @@ def grad_check(kind: ModelKind, n_trials: int = 20, eps: float = 1e-5,
                seed: int = 20240, dims: dict = None) -> float:
     """Max relative error over n random tiny instances of the given kind."""
     kind = ModelKind(kind)
-    if kind not in TRAINABLE_KINDS:
-        raise ValueError(f"kind {kind.value} has no gradients to check")
+    spec_of(kind)
     rng = SplitMix64(seed).derive("gradcheck")
     worst = 0.0
     for _ in range(n_trials):

@@ -6,9 +6,9 @@ import pytest
 
 from traitgru import checkpoint as C
 from traitgru.cli import main
-from traitgru.data import build_tweets, generate_fixture
-from traitgru.model import ModelKind
-from traitgru.train import TrainConfig, train
+from traitgru.data import CharVocab, WordVocab, build_tweets, generate_fixture
+from traitgru.model import SPECS, ModelKind, empty_params, tensor_shapes
+from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims, train
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_loaded_tensors_are_views_of_the_stacks(trained):
     _, path, _ = trained
     ckpt = C.load(path)
     reg = ckpt.to_regressor()
-    for birnn in (reg.params.char_birnn, reg.params.word_birnn):
+    for birnn in reg.params.levels:
         for p in (birnn.fwd, birnn.bwd):
             for name, view in p.tensors().items():
                 assert np.shares_memory(view, {"w": p.W, "u": p.U, "b": p.b}[name[0]]), name
@@ -178,3 +178,34 @@ def test_dims_larger_than_the_file_rejected(trained, tmp_path, capsys):
     bad = tmp_path / "dims.ckpt"
     C.save(huge, bad)
     _expect_rejected(bad, "bytes of tensors", capsys)
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_every_bundle_holds_the_tensor_shapes_in_order(kind, tmp_path):
+    tweets, _ = build_tweets(generate_fixture(2, 2, seed=4))
+    cfg = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=2, word_dim=4)
+    vocab = build_vocab_for(kind, tweets)
+    dims = model_dims(kind, cfg, vocab)
+    want = [(name, tuple(shape)) for name, shape in tensor_shapes(kind, dims)]
+    params = init_params(kind, dims, seed=1)
+    path = tmp_path / "k.ckpt"
+    C.save(C.Checkpoint(kind=kind, dims=dims, vocab=vocab, config={},
+                        tensors=params.tensors()), path)
+    for tensors in (empty_params(kind, dims).tensors(), params.tensors(),
+                    C.load(path).tensors):
+        assert [(name, arr.shape) for name, arr in tensors.items()] == want
+
+
+@pytest.mark.parametrize("kind", [ModelKind.C2W2S4PT, ModelKind.BI_GRU_WORD])
+def test_vocabulary_of_another_kind_rejected(kind, tmp_path, capsys):
+    tweets, _ = build_tweets(generate_fixture(2, 3, seed=6))
+    cfg = TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2, word_dim=2,
+                      epochs=1, dropout_rate=0.0)
+    ckpt, _ = train(kind, tweets, "ext", cfg)
+    n = ckpt.vocab.size - 1  # the same size, so only the class differs
+    ckpt.vocab = (CharVocab({chr(97 + i): i for i in range(n)}) if isinstance(ckpt.vocab, WordVocab)
+                  else WordVocab({f"w{i}": i for i in range(n)}))
+    bad = tmp_path / "foreign.ckpt"
+    C.save(ckpt, bad)
+    err = _expect_rejected(bad, f"needs a {SPECS[kind].vocab.__name__}", capsys)
+    assert type(ckpt.vocab).__name__ in err

@@ -4,7 +4,8 @@ import pytest
 
 from traitgru import checkpoint as C
 from traitgru.cli import main
-from traitgru.data import load_dataset
+from traitgru.data import (MAX_TWEET_CHARS, MAX_WORD_CHARS, RawRecord, TraitScores,
+                           build_tweets, load_dataset)
 from traitgru.train import TrainConfig, format_config
 from traitgru.viz import parse_scatter_csv
 
@@ -108,6 +109,51 @@ def test_predict_text_and_stdin(workspace, capsys, monkeypatch):
     float(lines[0])
     float(lines[1])  # a URL-only line normalizes to "^", still scorable
     assert lines[2] == "NA"  # whitespace-only line has no tokens
+
+
+def test_predict_stdin_scores_what_build_tweets_makes_of_the_line(workspace, capsys,
+                                                                   monkeypatch):
+    import io
+
+    tmp_path, cfg_path, data_path = workspace
+    out = tmp_path / "model.ckpt"
+    main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+          "--config", str(cfg_path), "--seed", "5", "--out", str(out)])
+    line = "x" * (MAX_WORD_CHARS + 9) + " hello there!" * 50
+    assert len(line) > MAX_TWEET_CHARS
+    tweets, _ = build_tweets([RawRecord("u1", line, TraitScores(0, 0, 0, 0, 0))])
+    expected = C.load(out).to_regressor().score(tweets[0])
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n\n"))
+    assert main(["predict", "--model", str(out), "--stdin"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{expected:.6f}", "NA"]
+
+
+BAD_CONFIG_VALUES = [
+    # (key, value, what the error must name; {line} is the bad line's number)
+    ("learning_rate", "-5", "learning_rate"),
+    ("learning_rate", "nan", "learning_rate"),
+    ("beta1", "1.0", "beta1"),
+    ("beta2", "1.0", "beta2"),
+    ("epsilon", "0", "epsilon"),
+    ("clip_norm", "inf", "clip_norm"),
+    ("epochs", "1.5", "config line {line}: epochs"),
+]
+
+
+@pytest.mark.parametrize("key, value, names", BAD_CONFIG_VALUES,
+                         ids=[f"{key}={value}" for key, value, _ in BAD_CONFIG_VALUES])
+def test_train_rejects_a_bad_config_value_before_writing(workspace, capsys, key, value, names):
+    tmp_path, _, data_path = workspace
+    lines = [ln for ln in TINY_CONFIG.splitlines() if not ln.startswith(f"{key} =")]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n", encoding="utf-8")
+    out = tmp_path / "bad.ckpt"
+    assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+                 "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names.format(line=len(lines) + 1) in err
+    assert not out.exists()
 
 
 def test_predict_zero_init_checkpoint_outputs_bias(workspace, capsys):

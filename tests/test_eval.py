@@ -86,10 +86,10 @@ class TestRmseUser:
 
 class TestAverageBaseline:
     def test_mean_of_training_scores(self):
-        assert average_baseline_fit([0.1, 0.3]).predict() == pytest.approx(0.2)
+        assert average_baseline_fit([0.1, 0.3]) == pytest.approx(0.2)
 
     def test_symmetric_scores(self):
-        assert average_baseline_fit([-0.2, 0.2]).predict() == 0.0
+        assert average_baseline_fit([-0.2, 0.2]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -99,10 +99,10 @@ class TestAverageBaseline:
         records = generate_fixture(6, 4, signal="exclamation", seed=8)
         tweets, _ = build_tweets(records)
         train, held = tweets[:16], tweets[16:]
-        predictor = average_baseline_fit(t.traits.ext for t in train)
-        p = [TweetPrediction(i, t.user_id, "ext", predictor.predict(), t.traits.ext)
+        mean = average_baseline_fit(t.traits.ext for t in train)
+        p = [TweetPrediction(i, t.user_id, "ext", mean, t.traits.ext)
              for i, t in enumerate(held)]
-        expected = math.sqrt(sum((t.traits.ext - predictor.mean) ** 2 for t in held)
+        expected = math.sqrt(sum((t.traits.ext - mean) ** 2 for t in held)
                              / len(held))
         assert rmse_tweet(p) == pytest.approx(expected, abs=1e-15)
 

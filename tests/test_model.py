@@ -4,8 +4,7 @@ import pytest
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
 from traitgru.gru import BiRnnParams, GruParams
 from traitgru.model import (DropoutPlan, MlpHead, ModelKind, ModelParams, Regressor,
-                            backward_full, build_params, compose_word, embed_chars,
-                            encode_sentence, mse_loss, predict)
+                            backward_full, build_params, encode_sentence, mse_loss, predict)
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
@@ -35,33 +34,9 @@ def tiny_regressor(tweets, kind=ModelKind.C2W2S4PT, seed=0, **sizes):
     return Regressor(kind=kind, params=init_params(kind, dims, seed), vocab=vocab)
 
 
-class TestEmbedChars:
-    def test_identity_like_columns(self):
-        vocab = CharVocab({"a": 0, "b": 1, "c": 2})
-        e_c = np.eye(3, 4)  # 3-dim embeddings over |C|=4 (incl. UNK)
-        out = embed_chars(vocab, e_c, "ab")
-        np.testing.assert_array_equal(out[0], e_c[:, 0])
-        np.testing.assert_array_equal(out[1], e_c[:, 1])
-
-    def test_unseen_glyph_maps_to_unk_column(self):
-        vocab = CharVocab({"a": 0})
-        e_c = np.array([[1.0, 9.0], [2.0, 8.0]])
-        out = embed_chars(vocab, e_c, "x")
-        np.testing.assert_array_equal(out[0], e_c[:, vocab.unk_id])
-
-    def test_equals_explicit_one_hot_matvec(self):
-        rng = SplitMix64(1)
-        vocab = CharVocab({"a": 0, "b": 1})
-        e_c = rng.uniforms(3 * 3, -1, 1).reshape(3, 3)
-        out = embed_chars(vocab, e_c, "ab")
-        for ch, got in zip("ab", out):
-            one_hot = np.zeros(3)
-            one_hot[vocab.id_of(ch)] = 1.0
-            np.testing.assert_array_equal(got, e_c @ one_hot)
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            embed_chars(CharVocab({"a": 0}), np.eye(2), "")
+def compose_word(params, vocab, word):
+    """The word vector of one token, from the model's packed character pass."""
+    return encode_sentence(params, vocab, (word,))[1].e_w[0]
 
 
 class TestComposeWord:
@@ -75,7 +50,7 @@ class TestComposeWord:
 
         vocab = CharVocab({"a": 0})
         params = tiny_model(vocab.size, seed=3)
-        expected = birnn_encode(params.char_birnn, embed_chars(vocab, params.e_c, "a"))
+        expected = birnn_encode(params.levels[0], [params.table[:, vocab.id_of("a")]])
         np.testing.assert_array_equal(compose_word(params, vocab, "a"), expected)
 
     def test_scalar_config_matches_manual_unroll(self):
@@ -101,14 +76,12 @@ class TestComposeWord:
                 u_z=np.array([[u[0]]]), u_r=np.array([[u[1]]]), u_h=np.array([[u[2]]]),
                 b_z=np.array([b[0]]), b_r=np.array([b[1]]), b_h=np.array([b[2]]))
 
-        head = MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
-                       w_hy=np.zeros((1, 1)), b_y=np.zeros(1))
         params = ModelParams(
-            e_c=e_c,
-            char_birnn=BiRnnParams(gp(w_f, u_f, b_f), gp(w_b, u_b, b_b)),
-            word_birnn=BiRnnParams(GruParams.zeros(2, 1), GruParams.zeros(2, 1)),
-            head=MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
-                         w_hy=np.zeros((1, 1)), b_y=np.zeros(1)),
+            ModelKind.C2W2S4PT, e_c,
+            (BiRnnParams(gp(w_f, u_f, b_f), gp(w_b, u_b, b_b)),
+             BiRnnParams(GruParams.zeros(2, 1), GruParams.zeros(2, 1))),
+            MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
+                    w_hy=np.zeros((1, 1)), b_y=np.zeros(1)),
         )
         xs = [0.3, -0.4]  # embeddings of "a", "b"
         h = 0.0
@@ -131,7 +104,7 @@ class TestEncodeSentence:
         params = tiny_model(vocab.size, seed=5)
         e_s, trace = encode_sentence(params, vocab, ("hi",))
         e_w = compose_word(params, vocab, "hi")
-        np.testing.assert_array_equal(e_s, birnn_encode(params.word_birnn, [e_w]))
+        np.testing.assert_array_equal(e_s, birnn_encode(params.levels[1], [e_w]))
         assert trace.e_w.shape == (1, e_w.shape[0])
 
     def test_zero_params_zero_sentence(self):
@@ -168,11 +141,10 @@ class TestEncodeSentence:
                 b_z=np.array([b[0]]), b_r=np.array([b[1]]), b_h=np.array([b[2]]))
 
         params = ModelParams(
-            e_c=e_c,
-            char_birnn=BiRnnParams(gp(cw_f, 1), gp(cw_b, 1)),
-            word_birnn=BiRnnParams(gp(ww_f, 2), gp(ww_b, 2)),
-            head=MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
-                         w_hy=np.zeros((1, 1)), b_y=np.zeros(1)),
+            ModelKind.C2W2S4PT, e_c,
+            (BiRnnParams(gp(cw_f, 1), gp(cw_b, 1)), BiRnnParams(gp(ww_f, 2), gp(ww_b, 2))),
+            MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
+                    w_hy=np.zeros((1, 1)), b_y=np.zeros(1)),
         )
 
         def compose(word):
@@ -282,8 +254,7 @@ class TestBaselines:
     def test_average_predictor(self):
         from traitgru.evaluate import average_baseline_fit
 
-        predictor = average_baseline_fit([0.1, 0.3])
-        assert predictor.predict() == pytest.approx(0.2)
+        assert average_baseline_fit([0.1, 0.3]) == pytest.approx(0.2)
 
     def test_char_baseline_zero_params_outputs_bias(self):
         tweet = mk_tweet("hi there")
@@ -323,11 +294,11 @@ class TestInvariants:
     def test_dimension_chain_enforced(self):
         with pytest.raises(ValueError, match="word rnn input"):
             ModelParams(
-                e_c=np.zeros((2, 3)),
-                char_birnn=BiRnnParams(GruParams.zeros(2, 2), GruParams.zeros(2, 2)),
-                word_birnn=BiRnnParams(GruParams.zeros(3, 2), GruParams.zeros(3, 2)),
-                head=MlpHead(w_eh=np.zeros((2, 4)), b_h=np.zeros(2),
-                             w_hy=np.zeros((1, 2)), b_y=np.zeros(1)),
+                ModelKind.C2W2S4PT, np.zeros((2, 3)),
+                (BiRnnParams(GruParams.zeros(2, 2), GruParams.zeros(2, 2)),
+                 BiRnnParams(GruParams.zeros(3, 2), GruParams.zeros(3, 2))),
+                MlpHead(w_eh=np.zeros((2, 4)), b_h=np.zeros(2),
+                        w_hy=np.zeros((1, 2)), b_y=np.zeros(1)),
             )
 
     def test_forward_deterministic_bitwise(self):
@@ -346,7 +317,7 @@ class TestInvariants:
         perm = {"a": 2, "b": 0, "c": 1}
         old = reg.vocab.char_to_id
         new_vocab = CharVocab({ch: perm[ch] for ch in old})
-        e_c = reg.params.e_c
+        e_c = reg.params.table
         permuted = np.empty_like(e_c)
         for ch, old_id in old.items():
             permuted[:, perm[ch]] = e_c[:, old_id]

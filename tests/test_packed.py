@@ -31,7 +31,7 @@ def model(seed, d, h):
 
 def per_word_reference(params, tokens, dropout, d_y_of):
     """(score, gradients) with one single-sequence character pass per word."""
-    word_traces = [birnn_forward(params.char_birnn, params.e_c.T[VOCAB.ids_of(tok)])
+    word_traces = [birnn_forward(params.levels[0], params.table.T[VOCAB.ids_of(tok)])
                    for tok in tokens]
     e_w = np.array([birnn_output(wt) for wt in word_traces])
     masks = None
@@ -40,7 +40,7 @@ def per_word_reference(params, tokens, dropout, d_y_of):
         x = e_w * np.array(masks)
     else:
         x = e_w
-    sentence = birnn_forward(params.word_birnn, x)
+    sentence = birnn_forward(params.levels[1], x)
     e_s = birnn_output(sentence)
     sent_mask = dropout.draw_mask(e_s.shape[0]) if dropout is not None else None
     fed = e_s * sent_mask if sent_mask is not None else e_s
@@ -59,12 +59,12 @@ def per_word_reference(params, tokens, dropout, d_y_of):
     d_e_s = head.w_eh.T @ d_pre
     if sent_mask is not None:
         d_e_s = d_e_s * sent_mask
-    wg, d_xs = birnn_backward(params.word_birnn, sentence, d_e_s)
+    wg, d_xs = birnn_backward(params.levels[1], sentence, d_e_s)
     for k, v in wg.items():
         grads["word_" + k] += v
     for i, (tok, wt) in enumerate(zip(tokens, word_traces)):
         d_e_w = d_xs[i] * masks[i] if masks is not None else d_xs[i]
-        cg, d_cs = birnn_backward(params.char_birnn, wt, d_e_w)
+        cg, d_cs = birnn_backward(params.levels[0], wt, d_e_w)
         for k, v in cg.items():
             grads["char_" + k] += v
         for cid, d_c in zip(VOCAB.ids_of(tok), d_cs):
@@ -141,7 +141,7 @@ def test_packed_birnn_rows_equal_single_sequences():
 
 def test_named_tensors_are_views_of_the_stacks():
     params = model(5, 2, 3)
-    for birnn in (params.char_birnn, params.word_birnn):
+    for birnn in params.levels:
         for p in (birnn.fwd, birnn.bwd):
             for name, view in p.tensors().items():
                 stack = {"w": p.W, "u": p.U, "b": p.b}[name[0]]

@@ -3,10 +3,10 @@ import pytest
 
 from traitgru import train as T
 from traitgru.data import build_tweets, generate_fixture
-from traitgru.model import ModelKind
+from traitgru.model import DropoutPlan, ModelKind
 from traitgru.rng import SplitMix64
 from traitgru.train import (AdamState, TrainConfig, adam_step, check_gradients,
-                            config_fingerprint, default_config, dropout_apply,
+                            config_fingerprint, default_config,
                             format_config, grad_check, init_params,
                             parse_config_text, train)
 
@@ -69,7 +69,7 @@ class TestInitParams:
 
     def test_embedding_range(self):
         p = init_params(ModelKind.C2W2S4PT, self.DIMS, seed=3)
-        assert np.all(np.abs(p.e_c) <= 0.1)
+        assert np.all(np.abs(p.table) <= 0.1)
 
     def test_glorot_sample_mean_near_zero(self):
         dims = {"char_dim": 50, "char_hidden": 256, "word_hidden": 256,
@@ -84,7 +84,7 @@ class TestInitParams:
 
     def test_weight_bound_respected(self):
         p = init_params(ModelKind.C2W2S4PT, self.DIMS, seed=5)
-        w = p.char_birnn.fwd.w_z
+        w = p.levels[0].fwd.w_z
         bound = np.sqrt(6.0 / (3 + 4))
         assert np.all(np.abs(w) <= bound)
 
@@ -92,32 +92,32 @@ class TestInitParams:
 class TestDropout:
     def test_rate_zero_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        out, mask = dropout_apply(v, 0.0, SplitMix64(1))
-        np.testing.assert_array_equal(out, v)
+        mask = DropoutPlan(0.0, SplitMix64(1)).draw_mask(3)
+        np.testing.assert_array_equal(v * mask, v)
         np.testing.assert_array_equal(mask, np.ones(3))
 
     def test_kept_components_scaled(self):
-        rng = SplitMix64(2).derive("dropout")
+        plan = DropoutPlan(0.5, SplitMix64(2).derive("dropout"))
         v = np.full(100, 7.0)
-        out, mask = dropout_apply(v, 0.5, rng)
+        mask = plan.draw_mask(100)
+        out = v * mask
         kept = mask != 0
         assert np.all(out[kept] == 14.0)
         assert np.all(out[~kept] == 0.0)
 
     def test_expectation_preserved(self):
         # Monte-Carlo over 1e5 seeded trials: per-component mean within 2%
-        rng = SplitMix64(3).derive("dropout")
+        plan = DropoutPlan(0.5, SplitMix64(3).derive("dropout"))
         v = np.array([1.0, 2.0, 4.0])
         total = np.zeros(3)
         trials = 100_000
         for _ in range(trials):
-            out, _ = dropout_apply(v, 0.5, rng)
-            total += out
+            total += v * plan.draw_mask(3)
         np.testing.assert_allclose(total / trials, v, rtol=0.02)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout_apply(np.ones(3), 1.0, SplitMix64(1))
+            DropoutPlan(1.0, SplitMix64(1))
 
 
 class TestAdam:
