@@ -222,8 +222,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ckpt_mod.CheckpointError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, ckpt_mod.CheckpointError,
+            FloatingPointError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -1,42 +1,46 @@
 """The hierarchical char->word->sentence regressor and the two RNN baselines.
 
-A sentence is encoded bottom-up: each word's characters run through a
-character-level bidirectional GRU whose two final states concatenate
-into the word vector; the word vectors run through a word-level
-bidirectional GRU whose two final states concatenate into the sentence
-vector; a one-hidden-layer MLP (ReLU) maps that to a scalar score.
+Every trainable kind is one regressor: an embedding table, a stack of
+bidirectional GRU levels and a one-hidden-layer MLP (ReLU) head that
+maps the top level's output to a scalar score.  One walk over the
+levels serves every kind:
 
-The character one-hot multiplication is realized as a column lookup
-into the embedding table, which is mathematically identical.  Both
-character directions share the embedding table; the word baseline
-likewise shares its lookup table across directions.
+1. look up the table columns of the tweet's units: the tokens' characters
+   for C2W2S4PT, the tokens for the word baseline and the characters of
+   the normalized text for the character baseline (a column lookup is
+   the one-hot product, mathematically identical);
+2. run each level below the top as a bi-GRU packed over the tokens, so
+   each token becomes one row: the concatenated final states of its two
+   directions.  In C2W2S4PT that level composes each word from its
+   characters (Ling et al. 2015, arXiv:1508.02096);
+3. run the top level over the rows, as one sequence, and the head over
+   its output, the sentence vector (flat_forward).
+
+The backward pass walks the same steps in reverse (flat_backward, then
+the lower levels) and ends in one scatter-add into the table columns
+that were looked up.
+
+The three kinds differ only in what SPECS holds for each: the embedding
+table and its width, the bi-GRU levels bottom-up, the vocabulary and
+where its units come from, and whether the top level's inputs take the
+word-site mask.  One ModelParams class holds any kind's tensors, in the
+order the spec gives, which is the checkpoint order.
 
 Inverted dropout can be applied at two sites during training: to each
-embedding vector entering the top-level recurrent encoder (the composed
-word vectors here, the lookup vectors in the baselines' word case) and
-to the sentence vector entering the MLP.  Inference never applies a
-mask.
+row entering the top level (the composed word vectors, or the word
+baseline's lookups) and to the sentence vector entering the MLP.  The
+masks are drawn in that order, the rows' as one draw, so the dropout
+stream is consumed deterministically; inference never applies a mask.
 
-The three trainable kinds differ only in what SPECS holds for each: the
-embedding table and its width, the bi-GRU levels bottom-up, the
-vocabulary and where its units come from, and whether the top level's
-inputs take the word-site mask.  One ModelParams class holds any kind's
-tensors, in the order the spec gives, which is the checkpoint order.
-
-All words of one tweet share one character pass.  Their characters are
-concatenated in token order and packed: the words are sorted by length,
-longest first and stable among equal lengths, and step t advances only
-the words longer than t, without padding, as one matrix product per
-direction (Ling et al. 2015, arXiv:1508.02096, compose words this way;
-the stacked, batched cell follows Appleyard et al. 2016).  The backward
-pass runs once over those steps, and the embedding gradient is one
-scatter-add over the concatenated character ids.  The word level and
-both baselines run the same unroll over a single sequence.
-
-Packing stops at the tweet boundary on purpose: packing a whole
-mini-batch would keep the traces of all its tweets alive at once (47 MB
-for 32 tweets of 64 characters on average at paper dimensions), while
-one tweet's traces are freed as soon as its gradients are added.
+A level below the top packs all tokens of one tweet into one pass: the
+tokens are sorted by length, longest first and stable among equal
+lengths, and step t advances only the tokens longer than t, without
+padding, as one matrix product per direction (the stacked, batched cell
+follows Appleyard et al. 2016).  Packing stops at the tweet boundary on
+purpose: packing a whole mini-batch would keep the traces of all its
+tweets alive at once (47 MB for 32 tweets of 64 characters on average
+at paper dimensions), while one tweet's traces are freed as soon as its
+gradients are added.
 """
 
 from collections import OrderedDict
@@ -45,10 +49,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernel
 from .data import CharVocab, WordVocab
 from .gru import (TENSOR_NAMES, BiRnnParams, BiRnnTrace, GruParams, birnn_backward,
-                  birnn_forward, birnn_output)
+                  birnn_forward, birnn_output, require_finite)
 from .rng import SplitMix64
 
 
@@ -152,22 +155,6 @@ class HeadTrace:
 
 
 @dataclass
-class SentenceTrace:
-    """Everything the end-to-end backward pass needs."""
-
-    tokens: tuple
-    char_ids: np.ndarray     # every token's character ids, concatenated in token order
-    chars: BiRnnTrace        # the packed character pass over all tokens
-    e_w: np.ndarray          # word vectors, one row per token
-    word_mask: np.ndarray    # same shape as e_w; None when no word-site dropout
-    x_fed: np.ndarray        # e_w after the mask: the word-level input
-    word_birnn: BiRnnTrace
-    e_s: np.ndarray
-    sent_mask: np.ndarray  # None when no sentence-site dropout
-    head: HeadTrace = None
-
-
-@dataclass
 class ModelParams:
     """All tensors of one trainable kind: the embedding table (width x
     vocabulary), one bi-GRU per level of the kind's spec, bottom-up, and
@@ -203,37 +190,23 @@ class ModelParams:
 
 
 @dataclass
-class FlatTrace:
-    """Trace for the single-level baselines."""
+class Trace:
+    """What the backward pass of one tweet reads, for every kind."""
 
-    ids: list
-    masks: np.ndarray  # per-position input masks, one row each; None when unmasked
-    birnn: BiRnnTrace
-    e_s: np.ndarray
-    sent_mask: np.ndarray
-    head: HeadTrace = None
-
-
-def _compose_words(params: ModelParams, vocab: CharVocab, tokens):
-    """One packed character pass over all tokens: (concatenated character
-    ids, its trace, word vectors with one row per token)."""
-    ids = [vocab.ids_of(tok) for tok in tokens]
-    char_ids = np.fromiter((i for word in ids for i in word), dtype=np.intp)
-    chars = birnn_forward(params.levels[0], params.table.T[char_ids], [len(w) for w in ids])
-    return char_ids, chars, birnn_output(chars)
+    mask: np.ndarray       # word-site mask on the top level's input rows; None when unmasked
+    top: BiRnnTrace
+    e_s: np.ndarray        # the sentence vector
+    sent_mask: np.ndarray  # None when no sentence-site dropout
+    head: HeadTrace
+    ids: np.ndarray = None  # the table columns looked up, in order
+    lower: list = ()        # BiRnnTrace of each level below the top, packed over the tokens
 
 
-def _head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
-    pre = kernel.matvec(head.w_eh, x) + head.b_h
-    h_s = kernel.relu_v(pre)
+def head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
+    pre = require_finite("mlp head", head.w_eh @ x) + head.b_h
+    h_s = np.maximum(pre, 0.0)
     y = float(head.w_hy[0] @ h_s) + float(head.b_y[0])
     return HeadTrace(x_fed=x, pre_relu=pre, h_s=h_s, y=y)
-
-
-def predict(head: MlpHead, e_s: np.ndarray, mask: np.ndarray = None) -> float:
-    """MLP head on the sentence vector; mask only during training."""
-    x = e_s * mask if mask is not None else e_s
-    return _head_forward(head, x).y
 
 
 def _head_backward(head: MlpHead, tr: HeadTrace, d_y: float, grads: dict) -> np.ndarray:
@@ -246,53 +219,6 @@ def _head_backward(head: MlpHead, tr: HeadTrace, d_y: float, grads: dict) -> np.
     return head.w_eh.T @ d_pre
 
 
-def _words_dropped(dropout: DropoutPlan) -> bool:
-    return dropout is not None and dropout.on_words and dropout.rate > 0.0
-
-
-def _sentence_mask(dropout: DropoutPlan, n: int):
-    if dropout is not None and dropout.on_sentence and dropout.rate > 0.0:
-        return dropout.draw_mask(n)
-    return None
-
-
-def encode_sentence(params: ModelParams, vocab: CharVocab, tokens,
-                    dropout: DropoutPlan = None):
-    """Bottom-up encoding; returns (sentence vector, trace).
-
-    The characters of all tokens run through the character bi-GRU in one
-    packed pass: the tokens are sorted by length, longest first (stable),
-    and step t advances only the tokens longer than t, as one matrix
-    product per direction.  The character level draws no dropout.  Word
-    masks are then drawn in token order (one draw of tokens x 2h values,
-    the same stream values as one draw per token), then the sentence
-    mask, so the dropout stream is consumed deterministically.
-    """
-    if not tokens:
-        raise ValueError("cannot encode an empty token sequence")
-    char_ids, chars, e_w = _compose_words(params, vocab, tokens)
-    word_mask = None
-    x = e_w
-    if params.spec.mask_top and _words_dropped(dropout):
-        word_mask = dropout.draw_mask(e_w.size).reshape(e_w.shape)
-        x = e_w * word_mask
-    wt = birnn_forward(params.levels[1], x)
-    e_s = birnn_output(wt)
-    return e_s, SentenceTrace(
-        tokens=tuple(tokens), char_ids=char_ids, chars=chars, e_w=e_w, word_mask=word_mask,
-        x_fed=x, word_birnn=wt, e_s=e_s, sent_mask=_sentence_mask(dropout, e_s.shape[0]),
-    )
-
-
-def forward_tweet(params: ModelParams, vocab: CharVocab, tokens,
-                  dropout: DropoutPlan = None):
-    """Full forward pass; returns (score, trace ready for backward_full)."""
-    e_s, trace = encode_sentence(params, vocab, tokens, dropout)
-    x = e_s * trace.sent_mask if trace.sent_mask is not None else e_s
-    trace.head = _head_forward(params.head, x)
-    return trace.head.y, trace
-
-
 def zero_grads(params) -> "OrderedDict[str, np.ndarray]":
     return OrderedDict((k, np.zeros_like(v)) for k, v in params.tensors().items())
 
@@ -302,66 +228,33 @@ def _add_grads(grads: dict, prefix: str, delta: dict) -> None:
         grads[prefix + k] += v
 
 
-def backward_full(params: ModelParams, trace: SentenceTrace, d_y: float,
-                  grads: dict = None) -> dict:
-    """Exact gradients of the score w.r.t. every tensor, scaled by d_y.
+def flat_forward(params: ModelParams, xs: np.ndarray, dropout: DropoutPlan = None):
+    """The top level and the head, which every kind ends in, over input
+    rows xs (one per word or character); returns (score, trace).
 
-    The packed character pass is differentiated in one backward pass per
-    direction, and its input gradients land in the embedding columns of
-    the characters actually seen, in one scatter-add.  Pass grads to
-    accumulate across examples.
+    The word-site mask, when the spec asks for one, is one draw over all
+    rows in row order; the sentence mask is drawn after it.
     """
-    if trace.head is None:
-        raise ValueError("trace has no head stage; run forward_tweet first")
-    if grads is None:
-        grads = zero_grads(params)
-    spec = params.spec
-    (char_prefix, _), (word_prefix, _) = spec.levels
-    char_rnn, word_rnn = params.levels
+    dropping = dropout is not None and dropout.rate > 0.0
+    mask = None
+    if dropping and dropout.on_words and params.spec.mask_top:
+        mask = dropout.draw_mask(xs.size).reshape(xs.shape)
+        xs = xs * mask
+    top = birnn_forward(params.levels[-1], xs)
+    e_s = birnn_output(top)
+    sent_mask = dropout.draw_mask(e_s.shape[0]) if dropping and dropout.on_sentence else None
+    head = head_forward(params.head, e_s * sent_mask if sent_mask is not None else e_s)
+    return head.y, Trace(mask=mask, top=top, e_s=e_s, sent_mask=sent_mask, head=head)
+
+
+def flat_backward(params: ModelParams, trace: Trace, d_y: float, grads: dict) -> np.ndarray:
+    """Adds the head's and the top level's gradients, scaled by d_y, to
+    grads; returns the gradient on flat_forward's input rows."""
     d_in = _head_backward(params.head, trace.head, d_y, grads)
     d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    wg, d_x = birnn_backward(word_rnn, trace.word_birnn, d_e_s)
-    _add_grads(grads, word_prefix, wg)
-    d_e_w = d_x * trace.word_mask if trace.word_mask is not None else d_x
-    cg, d_cs = birnn_backward(char_rnn, trace.chars, d_e_w)
-    _add_grads(grads, char_prefix, cg)
-    np.add.at(grads[spec.table].T, trace.char_ids, d_cs)
-    return grads
-
-
-def flat_forward(params: ModelParams, ids: list, dropout: DropoutPlan = None):
-    """Shared forward for the single-level baselines over embedding ids."""
-    if not ids:
-        raise ValueError("cannot encode an empty id sequence")
-    xs = params.table.T[ids]
-    masks = None
-    if params.spec.mask_top and _words_dropped(dropout):
-        masks = dropout.draw_mask(xs.size).reshape(xs.shape)
-        xs = xs * masks
-    bt = birnn_forward(params.levels[0], xs)
-    e_s = birnn_output(bt)
-    sent_mask = _sentence_mask(dropout, e_s.shape[0])
-    x = e_s * sent_mask if sent_mask is not None else e_s
-    head = _head_forward(params.head, x)
-    trace = FlatTrace(ids=list(ids), masks=masks, birnn=bt, e_s=e_s,
-                      sent_mask=sent_mask, head=head)
-    return head.y, trace
-
-
-def flat_backward(params: ModelParams, trace: FlatTrace, d_y: float,
-                  grads: dict = None) -> dict:
-    if grads is None:
-        grads = zero_grads(params)
-    spec = params.spec
-    ((prefix, _),) = spec.levels
-    d_in = _head_backward(params.head, trace.head, d_y, grads)
-    d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    bg, d_xs = birnn_backward(params.levels[0], trace.birnn, d_e_s)
-    _add_grads(grads, prefix, bg)
-    if trace.masks is not None:
-        d_xs = d_xs * trace.masks
-    np.add.at(grads[spec.table].T, trace.ids, d_xs)
-    return grads
+    g, d_xs = birnn_backward(params.levels[-1], trace.top, d_e_s)
+    _add_grads(grads, params.spec.levels[-1][0], g)
+    return d_xs * trace.mask if trace.mask is not None else d_xs
 
 
 def mse_loss(preds, truths) -> float:
@@ -434,18 +327,9 @@ def empty_params(kind: ModelKind, dims: dict):
     return build_params(kind, tensors)
 
 
-def _units(spec: KindSpec, tweet):
-    return tweet.tokens if spec.source == "tokens" else tweet.normalized_text
-
-
 @dataclass
 class Regressor:
-    """One trainable model: kind, its parameter bundle and its vocabulary.
-
-    A kind of two levels composes each token from its characters (the
-    packed pass of forward_tweet); a kind of one level looks each unit
-    up in its table (flat_forward).
-    """
+    """One trainable model: kind, its parameter bundle and its vocabulary."""
 
     kind: ModelKind
     params: ModelParams
@@ -454,26 +338,52 @@ class Regressor:
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
         return self.params.tensors()
 
+    def unit_ids(self, tweet):
+        """(table columns to look up, lengths): for a kind with a level
+        below the top, the characters of every token in order and each
+        token's length; otherwise one column per unit and no lengths."""
+        spec = self.params.spec
+        units = tweet.tokens if spec.source == "tokens" else tweet.normalized_text
+        if not units:
+            raise ValueError("cannot encode a tweet without input units")
+        if len(spec.levels) > 1:
+            per_unit = [self.vocab.ids_of(u) for u in units]
+            return (np.fromiter((i for ids in per_unit for i in ids), dtype=np.intp),
+                    [len(ids) for ids in per_unit])
+        return np.array([self.vocab.id_of(u) for u in units], dtype=np.intp), None
+
     def forward(self, tweet, dropout: DropoutPlan = None):
         """(score, trace) for one tweet (anything with tokens/normalized_text)."""
-        spec = self.params.spec
-        units = _units(spec, tweet)
-        if len(spec.levels) > 1:
-            return forward_tweet(self.params, self.vocab, units, dropout)
-        return flat_forward(self.params, [self.vocab.id_of(u) for u in units], dropout)
+        ids, lengths = self.unit_ids(tweet)
+        x = self.params.table.T[ids]
+        lower = []
+        for rnn in self.params.levels[:-1]:
+            lower.append(birnn_forward(rnn, x, lengths))
+            x = birnn_output(lower[-1])
+        y, trace = flat_forward(self.params, x, dropout)
+        trace.ids, trace.lower = ids, lower
+        return y, trace
 
-    def backward(self, trace, d_y: float, grads: dict = None) -> dict:
-        if len(self.params.levels) > 1:
-            return backward_full(self.params, trace, d_y, grads)
-        return flat_backward(self.params, trace, d_y, grads)
+    def backward(self, trace: Trace, d_y: float, grads: dict = None) -> dict:
+        """Exact gradients of the score w.r.t. every tensor, scaled by d_y.
+
+        The input rows' gradients land in the table columns of the units
+        seen, in one scatter-add.  Pass grads to accumulate across examples.
+        """
+        params = self.params
+        if grads is None:
+            grads = zero_grads(params)
+        d_x = flat_backward(params, trace, d_y, grads)
+        below = list(zip(params.spec.levels, params.levels, trace.lower))
+        for (prefix, _), rnn, tr in reversed(below):
+            g, d_x = birnn_backward(rnn, tr, d_x)
+            _add_grads(grads, prefix, g)
+        np.add.at(grads[params.spec.table].T, trace.ids, d_x)
+        return grads
 
     def score(self, tweet) -> float:
         return self.forward(tweet)[0]
 
     def embedding(self, tweet) -> np.ndarray:
         """Sentence vector fed to the MLP head (inference, no dropout)."""
-        spec = self.params.spec
-        if len(spec.levels) > 1:
-            return encode_sentence(self.params, self.vocab, _units(spec, tweet))[0]
-        _, trace = self.forward(tweet)
-        return trace.e_s
+        return self.forward(tweet)[1].e_s

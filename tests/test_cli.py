@@ -156,6 +156,21 @@ def test_train_rejects_a_bad_config_value_before_writing(workspace, capsys, key,
     assert not out.exists()
 
 
+def test_train_exits_1_when_the_model_cannot_be_allocated(workspace, capsys):
+    # One GRU tensor at this width needs over 2^47 bytes, more address space
+    # than a process has, so the allocation fails however memory is
+    # overcommitted.
+    tmp_path, _, data_path = workspace
+    lines = [ln for ln in TINY_CONFIG.splitlines() if not ln.startswith("hidden_size =")]
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text("\n".join(lines + [f"hidden_size = {10**15}"]) + "\n", encoding="utf-8")
+    out = tmp_path / "huge.ckpt"
+    assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+                 "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    assert not out.exists()
+
+
 def test_predict_zero_init_checkpoint_outputs_bias(workspace, capsys):
     tmp_path, cfg_path, data_path = workspace
     zcfg = tmp_path / "zero.cfg"

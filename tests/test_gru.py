@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from traitgru.gru import (BiRnnParams, GruParams, birnn_backward, birnn_encode,
-                          birnn_forward, gru_backward, gru_forward, rnn_backward,
+from traitgru.gru import (BiRnnParams, GruParams, birnn_backward, birnn_forward,
+                          birnn_output, gru_backward, gru_forward, rnn_backward,
                           rnn_unroll)
 from traitgru.rng import SplitMix64
 
@@ -163,14 +163,14 @@ class TestBiRnn:
         rng = SplitMix64(4)
         p = BiRnnParams(fwd=random_params(rng, 2, 3), bwd=random_params(rng, 2, 3))
         x = rng.uniforms(2, -1, 1)
-        out = birnn_encode(p, [x])
+        out = birnn_output(birnn_forward(p, [x]))
         h0 = np.zeros(3)
         np.testing.assert_array_equal(out[:3], gru_forward(p.fwd, x, h0).h_new)
         np.testing.assert_array_equal(out[3:], gru_forward(p.bwd, x, h0).h_new)
 
     def test_zero_params_zero_vector(self):
         p = BiRnnParams(fwd=GruParams.zeros(2, 3), bwd=GruParams.zeros(2, 3))
-        out = birnn_encode(p, [np.ones(2), np.ones(2)])
+        out = birnn_output(birnn_forward(p, [np.ones(2), np.ones(2)]))
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_palindrome_with_tied_directions(self):
@@ -178,13 +178,13 @@ class TestBiRnn:
         fwd = random_params(rng, 2, 3)
         p = BiRnnParams(fwd=fwd, bwd=fwd)
         a, b = rng.uniforms(2, -1, 1), rng.uniforms(2, -1, 1)
-        out = birnn_encode(p, [a, b, a])
+        out = birnn_output(birnn_forward(p, [a, b, a]))
         np.testing.assert_allclose(out[:3], out[3:], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = BiRnnParams(fwd=scalar_params(), bwd=scalar_params())
         with pytest.raises(ValueError):
-            birnn_encode(p, [])
+            birnn_output(birnn_forward(p, []))
 
     def test_direction_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="direction"):
@@ -305,9 +305,9 @@ def test_birnn_backward_matches_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(d_out @ birnn_encode(p, xs))
+            hi = float(d_out @ birnn_output(birnn_forward(p, xs)))
             flat[i] = orig - eps
-            lo = float(d_out @ birnn_encode(p, xs))
+            lo = float(d_out @ birnn_output(birnn_forward(p, xs)))
             flat[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
         assert max_rel_err(grads[name].reshape(-1), fd) < 1e-4, name
@@ -316,9 +316,9 @@ def test_birnn_backward_matches_finite_differences():
         for i in range(2):
             orig = x[i]
             x[i] = orig + eps
-            hi = float(d_out @ birnn_encode(p, xs))
+            hi = float(d_out @ birnn_output(birnn_forward(p, xs)))
             x[i] = orig - eps
-            lo = float(d_out @ birnn_encode(p, xs))
+            lo = float(d_out @ birnn_output(birnn_forward(p, xs)))
             x[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
         assert max_rel_err(d_xs[t], fd) < 1e-4

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
-from traitgru.gru import BiRnnParams, GruParams
-from traitgru.model import (DropoutPlan, MlpHead, ModelKind, ModelParams, Regressor,
-                            backward_full, build_params, encode_sentence, mse_loss, predict)
+from traitgru.gru import BiRnnParams, GruParams, birnn_forward, birnn_output
+from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, ModelParams,
+                            Regressor, build_params, head_forward, mse_loss)
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
@@ -34,9 +34,15 @@ def tiny_regressor(tweets, kind=ModelKind.C2W2S4PT, seed=0, **sizes):
     return Regressor(kind=kind, params=init_params(kind, dims, seed), vocab=vocab)
 
 
+def encode(params, vocab, tokens):
+    """The C2W2S4PT trace of a tweet of these tokens."""
+    return Regressor(ModelKind.C2W2S4PT, params, vocab).forward(Tweet(
+        "u1", " ".join(tokens), tuple(tokens), TraitScores(0, 0, 0, 0, 0)))[1]
+
+
 def compose_word(params, vocab, word):
     """The word vector of one token, from the model's packed character pass."""
-    return encode_sentence(params, vocab, (word,))[1].e_w[0]
+    return birnn_output(encode(params, vocab, (word,)).lower[0])[0]
 
 
 class TestComposeWord:
@@ -46,11 +52,10 @@ class TestComposeWord:
         np.testing.assert_array_equal(compose_word(params, vocab, "ab"), np.zeros(4))
 
     def test_single_char_equals_length_one_encode(self):
-        from traitgru.gru import birnn_encode
-
         vocab = CharVocab({"a": 0})
         params = tiny_model(vocab.size, seed=3)
-        expected = birnn_encode(params.levels[0], [params.table[:, vocab.id_of("a")]])
+        expected = birnn_output(birnn_forward(params.levels[0],
+                                              [params.table[:, vocab.id_of("a")]]))
         np.testing.assert_array_equal(compose_word(params, vocab, "a"), expected)
 
     def test_scalar_config_matches_manual_unroll(self):
@@ -98,19 +103,18 @@ class TestComposeWord:
 
 class TestEncodeSentence:
     def test_one_token_sentence(self):
-        from traitgru.gru import birnn_encode
-
         vocab = CharVocab({"h": 0, "i": 1})
         params = tiny_model(vocab.size, seed=5)
-        e_s, trace = encode_sentence(params, vocab, ("hi",))
+        trace = encode(params, vocab, ("hi",))
         e_w = compose_word(params, vocab, "hi")
-        np.testing.assert_array_equal(e_s, birnn_encode(params.levels[1], [e_w]))
-        assert trace.e_w.shape == (1, e_w.shape[0])
+        np.testing.assert_array_equal(trace.e_s,
+                                      birnn_output(birnn_forward(params.levels[1], [e_w])))
+        assert birnn_output(trace.lower[0]).shape == (1, e_w.shape[0])
 
     def test_zero_params_zero_sentence(self):
         vocab = CharVocab({"a": 0})
         params = tiny_model(vocab.size, scheme="zeros")
-        e_s, _ = encode_sentence(params, vocab, ("a", "aa"))
+        e_s = encode(params, vocab, ("a", "aa")).e_s
         np.testing.assert_array_equal(e_s, np.zeros(4))
 
     def test_two_token_scalar_matches_manual_unroll(self):
@@ -168,37 +172,37 @@ class TestEncodeSentence:
         for e_w in reversed(e_ws):
             h = cell(ww_b[0], ww_b[1], ww_b[2], e_w, h)
         expected = [f, h]
-        e_s, _ = encode_sentence(params, vocab, tuple(words))
+        e_s = encode(params, vocab, tuple(words)).e_s
         np.testing.assert_allclose(e_s, expected, atol=1e-6)
 
     def test_empty_tokens_rejected(self):
         vocab = CharVocab({"a": 0})
         params = tiny_model(vocab.size)
         with pytest.raises(ValueError):
-            encode_sentence(params, vocab, ())
+            encode(params, vocab, ())
 
 
 class TestPredict:
     def test_zero_head_gives_zero(self):
         head = MlpHead(w_eh=np.zeros((2, 3)), b_h=np.zeros(2),
                        w_hy=np.zeros((1, 2)), b_y=np.zeros(1))
-        assert predict(head, np.array([1.0, -2.0, 3.0])) == 0.0
+        assert head_forward(head, np.array([1.0, -2.0, 3.0])).y == 0.0
 
     def test_relu_clamps_negative_preactivation(self):
         head = MlpHead(w_eh=np.array([[1.0]]), b_h=np.array([-5.0]),
                        w_hy=np.array([[1.0]]), b_y=np.zeros(1))
-        assert predict(head, np.array([1.0])) == 0.0
+        assert head_forward(head, np.array([1.0])).y == 0.0
 
     def test_hand_arithmetic(self):
         head = MlpHead(w_eh=np.array([[2.0]]), b_h=np.array([0.5]),
                        w_hy=np.array([[3.0]]), b_y=np.array([-1.0]))
-        assert predict(head, np.array([1.0])) == pytest.approx(6.5)
+        assert head_forward(head, np.array([1.0])).y == pytest.approx(6.5)
 
     def test_shape_mismatch(self):
         head = MlpHead(w_eh=np.zeros((2, 3)), b_h=np.zeros(2),
                        w_hy=np.zeros((1, 2)), b_y=np.zeros(1))
         with pytest.raises(ValueError):
-            predict(head, np.zeros(4))
+            head_forward(head, np.zeros(4))
 
 
 class TestMseLoss:
@@ -243,12 +247,6 @@ class TestBackwardFull:
         err = check_gradients(reg, mk_tweet("ab cde"), y=0.2)
         assert err < 1e-4
 
-    def test_missing_head_rejected(self):
-        reg = tiny_regressor([mk_tweet("ab")], seed=1)
-        e_s, trace = encode_sentence(reg.params, reg.vocab, ("ab",))
-        with pytest.raises(ValueError, match="head"):
-            backward_full(reg.params, trace, 1.0)
-
 
 class TestBaselines:
     def test_average_predictor(self):
@@ -281,13 +279,38 @@ class TestBaselines:
         corpus = [mk_tweet("aa bb")]
         reg = tiny_regressor(corpus, kind=ModelKind.BI_GRU_WORD, seed=12)
         _, trace = reg.forward(mk_tweet("zz"))
-        assert trace.ids == [reg.vocab.unk_id]
+        assert trace.ids.tolist() == [reg.vocab.unk_id]
 
     def test_char_baseline_gradient_check(self):
         corpus = [mk_tweet("ab cd")]
         reg = tiny_regressor(corpus, kind=ModelKind.BI_GRU_CHAR, seed=13)
         err = check_gradients(reg, mk_tweet("ab c"), y=0.3)
         assert err < 1e-4
+
+
+class TestUnitIds:
+    def test_two_level_kind_groups_characters_per_token(self):
+        tweet = mk_tweet("ab c")
+        reg = tiny_regressor([tweet], seed=2)
+        ids, lengths = reg.unit_ids(tweet)
+        assert ids.tolist() == [reg.vocab.id_of(c) for c in "abc"]
+        assert lengths == [2, 1]
+
+    @pytest.mark.parametrize("kind, units", [(ModelKind.BI_GRU_CHAR, "ab c"),
+                                             (ModelKind.BI_GRU_WORD, ("ab", "c"))])
+    def test_one_level_kinds_take_one_id_per_unit(self, kind, units):
+        tweet = mk_tweet("ab c")
+        reg = tiny_regressor([tweet], kind=kind, seed=3)
+        ids, lengths = reg.unit_ids(tweet)
+        assert ids.tolist() == [reg.vocab.id_of(u) for u in units] and lengths is None
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_embedding_is_what_the_head_scores(self, kind):
+        tweet = mk_tweet("ab cd")
+        reg = tiny_regressor([tweet], kind=kind, seed=4)
+        e_s = reg.embedding(tweet)
+        assert e_s.shape == (reg.params.head.in_dim,)
+        assert head_forward(reg.params.head, e_s).y == reg.score(tweet)
 
 
 class TestInvariants:
@@ -340,12 +363,13 @@ class TestDropoutPlumbing:
         reg = tiny_regressor([mk_tweet("ab cd")], seed=30)
         dp = DropoutPlan(rate=0.5, rng=SplitMix64(1).derive("dropout"))
         _, trace = reg.forward(mk_tweet("ab cd"), dp)
+        e_w = birnn_output(trace.lower[0])
         assert trace.sent_mask is not None
-        assert trace.word_mask is not None and trace.word_mask.shape == trace.e_w.shape
-        kept = trace.word_mask[0] != 0
+        assert trace.mask is not None and trace.mask.shape == e_w.shape
+        kept = trace.mask[0] != 0
         np.testing.assert_array_equal(
-            trace.x_fed[0][kept],
-            (trace.e_w[0] * trace.word_mask[0])[kept])
+            trace.top.fwd[0].x[kept],  # the first word-level input row
+            (e_w[0] * trace.mask[0])[kept])
 
     def test_rate_zero_plan_is_identity(self):
         reg = tiny_regressor([mk_tweet("ab cd")], seed=31)
@@ -357,3 +381,37 @@ class TestDropoutPlumbing:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             DropoutPlan(rate=1.0, rng=SplitMix64(1))
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_masked_backward_matches_finite_differences(self, kind):
+        # A fresh plan of the same seed for every pass replays the masks,
+        # so central differences see the function the backward pass took.
+        tweet = mk_tweet("ab cd e")
+        reg = tiny_regressor([tweet], kind=kind, seed=43)
+
+        def plan():
+            return DropoutPlan(0.5, SplitMix64(3).derive("dropout"))
+
+        def loss():
+            return (reg.forward(tweet, plan())[0] - 0.2) ** 2
+
+        y_hat, trace = reg.forward(tweet, plan())
+        assert np.any(trace.head.pre_relu > 0)  # gradients reach below the head
+        assert (trace.mask is not None) == (kind != ModelKind.BI_GRU_CHAR)
+        for mask in (trace.mask, trace.sent_mask):
+            assert mask is None or 0.0 < np.count_nonzero(mask) < mask.size
+        grads = reg.backward(trace, 2.0 * (y_hat - 0.2))
+        eps, worst = 1e-5, 0.0
+        for name, theta in reg.tensors().items():
+            flat, analytic = theta.reshape(-1), grads[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = loss()
+                flat[i] = orig - eps
+                lo = loss()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * eps)
+                worst = max(worst, abs(analytic[i] - numeric)
+                            / max(abs(analytic[i]), abs(numeric), 1e-8))
+        assert worst < 1e-4

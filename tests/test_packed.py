@@ -1,6 +1,6 @@
 """The packed character pass against encoding each word on its own.
 
-encode_sentence/backward_full run all words of a tweet through the
+Regressor.forward/backward run all words of a C2W2S4PT tweet through the
 character bi-GRU at once, packed longest first.  The reference below
 encodes every word as its own single sequence (batch of one), adds the
 per-word gradients one word at a time and scatters each character's
@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from traitgru.data import CharVocab
+from traitgru.data import CharVocab, TraitScores, Tweet
 from traitgru.gru import (BiRnnParams, GruParams, birnn_backward, birnn_forward,
                           birnn_output, pack)
-from traitgru.model import DropoutPlan, ModelKind, backward_full, forward_tweet, zero_grads
+from traitgru.model import DropoutPlan, ModelKind, Regressor, zero_grads
 from traitgru.rng import SplitMix64
 from traitgru.train import init_params
 
@@ -94,8 +94,10 @@ def test_packed_pass_matches_one_word_at_a_time(tokens, seed, d, h, dropout):
     def plan():
         return DropoutPlan(0.5, SplitMix64(seed).derive("dropout")) if dropout else None
 
-    y, trace = forward_tweet(params, VOCAB, tuple(tokens), plan())
-    grads = backward_full(params, trace, 2.0 * (y - target))
+    reg = Regressor(ModelKind.C2W2S4PT, params, VOCAB)
+    tweet = Tweet("u1", " ".join(tokens), tuple(tokens), TraitScores(0, 0, 0, 0, 0))
+    y, trace = reg.forward(tweet, plan())
+    grads = reg.backward(trace, 2.0 * (y - target))
     y_ref, ref = per_word_reference(params, tokens, plan(), lambda v: 2.0 * (v - target))
     assert abs(y - y_ref) <= 1e-12
     for name in ref:

@@ -1,0 +1,61 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+perfbench/spans.py patches the program's functions by name, so a
+refactor that renames or drops one of them breaks every traced run.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from traitgru.data import TraitScores, Tweet
+from traitgru.model import TRAINABLE_KINDS, Regressor
+from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans")
+
+
+def _targets(spans):
+    """(owner, attribute, current value) of every traced name."""
+    out = []
+    for mod_name, attr, *_ in spans.TARGETS:
+        owner = importlib.import_module(f"traitgru.{mod_name}")
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+            out.append((owner, attr, owner.__dict__[attr]))
+        else:
+            out.append((owner, attr, getattr(owner, attr)))
+    return out
+
+
+def test_install_patches_every_target_and_uninstall_restores(spans):
+    before = _targets(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr, original), (_, _, now) in zip(before, _targets(spans)):
+            assert now is not original, f"{owner.__name__}.{attr} not patched"
+        # Every kind's training pass runs through the traced model names.
+        for kind in TRAINABLE_KINDS:
+            tweet = Tweet("u1", "ab c", ("ab", "c"), TraitScores(0, 0, 0, 0, 0))
+            vocab = build_vocab_for(kind, [tweet])
+            cfg = TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2, word_dim=2)
+            reg = Regressor(kind, init_params(kind, model_dims(kind, cfg, vocab), 1), vocab)
+            _, trace = reg.forward(tweet)
+            reg.backward(trace, 1.0)
+    finally:
+        tracer.uninstall()
+    assert [t[2] for t in _targets(spans)] == [t[2] for t in before]
+    calls = tracer.table(rounds=1)["spans"]
+    for name in ("model.forward", "model.backward", "model.flat_forward",
+                 "model.flat_backward", "model.zero_grads", "gru.gru_forward",
+                 "gru.rnn_unroll", "gru.rnn_backward", "gru.birnn_backward"):
+        assert calls[name]["calls"] >= len(TRAINABLE_KINDS), name
