@@ -22,7 +22,8 @@ total tensor bytes the header's dims imply.  The vocabulary must be of
 the class the kind's spec names.  load then allocates the kind's zero
 bundle once and reads each tensor into its named view, so a tensor that
 is missing, unknown, repeated or of another shape than the dims give is
-an error, and every payload is bounded by that bundle.
+an error, and every payload is bounded by that bundle.  A NaN or inf
+value, which training never writes, is an error too.
 """
 
 import json
@@ -174,6 +175,8 @@ def load(path) -> Checkpoint:
                                       f"give {view.shape}")
             payload = _read_exact(fh, view.nbytes, f"payload of {name}")
             view[...] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+            if not np.isfinite(view).all():
+                raise CheckpointError(f"tensor {name} holds non-finite values")
             tensors[name] = view
         missing = [name for name in views if name not in tensors]
         if missing:

@@ -19,17 +19,12 @@ an unroll is one matrix product taken before the time loop, each step
 then needs one product with U, and each backward step one product of
 [a_z | a_r | d_hu] with U.
 
-The unroll runs either one sequence (inputs of shape (d,)) or many
-sequences packed step-major without padding: sorted by length, longest
-first, step t advances only the first batch_sizes[t] of them, as one
-matrix product over those rows.  Both forms share the cell step and the
-BPTT loop; the single-sequence form stays because its (h,) traces and
-(2h,) bi-RNN output are the interface of the top level of every model
-kind and of the checks that compare birnn_forward's traces with
-rnn_unroll's step by step.  Sending one sequence through pack() would
-give every trace a leading axis of 1 that each of those callers then
-strips, and at tiny dimensions a pack of one takes about half as long
-again as the single-sequence unroll.
+Every unroll runs sequences packed step-major without padding: sorted
+by length, longest first, step t advances only the first batch_sizes[t]
+of them, as one matrix product over those rows.  One sequence is a pack
+of one, so the top level of every model kind and the lower levels run
+the same cell step and the same BPTT loop, and every trace holds (B, h)
+rows.
 
 The bidirectional encoder runs one parameter set forward over the
 sequence and an independent set over the reversed sequence, then
@@ -39,6 +34,7 @@ the zero vector.
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +138,8 @@ class GateInput(NamedTuple):
 class GruCellTrace:
     """Everything one step needs for its exact backward pass.
 
-    Fields are (h,) vectors for one sequence or (B, h) rows for a batch.
+    Fields are (B, h) rows, one per sequence active at the step, or (h,)
+    vectors when gru_forward is given one input vector.
     hu is the projected previous state U_h @ h_prev, kept so the reset
     gate's gradient does not recompute it.
     """
@@ -221,24 +218,32 @@ class Packing:
 
 
 def pack(lengths) -> Packing:
-    """The packing of sequences with these lengths, concatenated in order."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.size == 0 or lengths.min() < 1:
-        raise ValueError(f"packing needs non-empty sequences, got lengths {lengths.tolist()}")
-    order = np.argsort(-lengths, kind="stable")
-    by_length = lengths[order]
-    starts = np.cumsum(lengths) - lengths
-    steps, rows = np.nonzero(np.arange(by_length[0])[:, None] < by_length[None, :])
-    seq = order[rows]
-    return Packing(order=order, batch_sizes=np.bincount(steps).tolist(),
-                   fwd=starts[seq] + steps, bwd=starts[seq] + lengths[seq] - 1 - steps)
+    """The packing of sequences with these lengths, concatenated in order.
+
+    Plain lists, linear in the number of rows: at tiny dimensions numpy's
+    fixed cost per call would outweigh the work of a pack of one.
+    """
+    lengths = list(lengths)
+    if not lengths or min(lengths) < 1:
+        raise ValueError(f"packing needs non-empty sequences, got lengths {lengths}")
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
+    batch_sizes = []
+    for j in reversed(range(len(order))):  # shortest first: steps only the first j + 1 reach
+        batch_sizes += [j + 1] * (lengths[order[j]] - len(batch_sizes))
+    starts = list(accumulate(lengths, initial=0))
+    firsts = [starts[i] for i in order]
+    lasts = [starts[i + 1] - 1 for i in order]
+    fwd = [first + t for t, b in enumerate(batch_sizes) for first in firsts[:b]]
+    bwd = [last - t for t, b in enumerate(batch_sizes) for last in lasts[:b]]
+    return Packing(order=np.array(order), batch_sizes=batch_sizes,
+                   fwd=np.array(fwd), bwd=np.array(bwd))
 
 
 @dataclass
 class BiRnnTrace:
     fwd: list
     bwd: list
-    packing: Packing = None  # None for a single sequence
+    packing: Packing
 
 
 def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
@@ -248,14 +253,14 @@ def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
     GateInput carrying x together with its precomputed projection.
     """
     h = p.hidden_size
-    if isinstance(x, GateInput):
+    if isinstance(x, GateInput):  # from rnn_unroll, which checked the shapes
         x, a = x
     else:
         if x.ndim not in (1, 2) or x.shape[-1] != p.input_size:
             raise ValueError(f"x shape {x.shape} != ({p.input_size},) or (B, {p.input_size})")
+        if h_prev.shape != x.shape[:-1] + (h,):
+            raise ValueError(f"h_prev shape {h_prev.shape} != {x.shape[:-1] + (h,)}")
         a = x @ p.W.T + p.b
-    if h_prev.shape != x.shape[:-1] + (h,):
-        raise ValueError(f"h_prev shape {h_prev.shape} != {x.shape[:-1] + (h,)}")
     g = h_prev @ p.U.T
     zr = sigmoid(a[..., :2 * h] + g[..., :2 * h])
     z, r = zr[..., :h], zr[..., h:]
@@ -267,8 +272,9 @@ def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
 
 
 def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruGrads:
-    """Exact gradients of one single-sequence step given the upstream
-    gradient on h_new; the step-by-step reference for rnn_backward."""
+    """Exact gradients of one step of one sequence, (h,) vectors, given the
+    upstream gradient on h_new; the step-by-step reference for
+    rnn_backward, applied to one row of a packed trace."""
     if d_h_new.shape != trace.h_new.shape:
         raise ValueError(f"d_h_new shape {d_h_new.shape} != {trace.h_new.shape}")
     t = trace
@@ -298,35 +304,31 @@ def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruG
     )
 
 
-def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes=None) -> list:
-    """Run the cell over xs starting from h0; one trace per step.
+def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes) -> list:
+    """Run the cell over packed rows starting from h0; one trace per step.
 
-    Without batch_sizes, xs is one sequence of (d,) inputs and h0 is (h,).
-    With them, xs is (N, d) rows packed step-major (see Packing): step t
-    takes the next batch_sizes[t] rows, and h0 is (batch_sizes[0], h).
-    trace[t].h_prev is (the leading rows of) trace[t-1].h_new.
+    xs is (N, d) rows packed step-major (see Packing): step t takes the
+    next batch_sizes[t] rows, and h0 is (batch_sizes[0], h).
+    trace[t].h_prev is the leading rows of trace[t-1].h_new.
     """
     X = np.asarray(xs, dtype=np.float64)
     if len(X) == 0:
         raise ValueError("rnn_unroll requires a non-empty sequence")
     if X.ndim != 2 or X.shape[1] != p.input_size:
         raise ValueError(f"inputs of shape {X.shape[1:]} != ({p.input_size},)")
+    if sum(batch_sizes) != len(X) or h0.shape != (batch_sizes[0], p.hidden_size):
+        raise ValueError(f"batch sizes {batch_sizes} do not fit {len(X)} rows and h0 {h0.shape}")
     A = X @ p.W.T
     A += p.b
-    if batch_sizes is None:
-        steps = range(len(X))
-    else:
-        if sum(batch_sizes) != len(X) or h0.shape != (batch_sizes[0], p.hidden_size):
-            raise ValueError(f"batch sizes {batch_sizes} do not fit {len(X)} rows and h0 {h0.shape}")
-        ends = np.cumsum(batch_sizes).tolist()
-        steps = [slice(e - b, e) for e, b in zip(ends, batch_sizes)]
     traces = []
     h = h0
-    for k in steps:
-        x = X[k]
-        tr = gru_forward(p, GateInput(x, A[k]), h if batch_sizes is None else h[:len(x)])
+    start = 0
+    for b in batch_sizes:
+        end = start + b
+        tr = gru_forward(p, GateInput(X[start:end], A[start:end]), h[:b])
         traces.append(tr)
         h = tr.h_new
+        start = end
     return traces
 
 
@@ -334,17 +336,15 @@ def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
     """Backpropagation through time when only each sequence's final state
     feeds the loss.
 
-    traces come from rnn_unroll; d_h_last is (h,) for one sequence or
-    (B, h) for packed ones, in packed order.  The recurrent chain walks the
-    steps in reverse exactly as gru_backward does (see the cross-check
-    test), with one product through U per step; the weight gradients are
-    one product each over all steps.
+    traces come from rnn_unroll; d_h_last is (B, h), in packed order.  The
+    recurrent chain walks the steps in reverse exactly as gru_backward
+    does (see the cross-check test), with one product through U per step;
+    the weight gradients are one product each over all steps.
 
     Returns (param gradient dict keyed like GruParams.tensors(), input
     gradients with one row per input row of the unroll, gradient w.r.t. h0).
     """
     h = p.hidden_size
-    packed = traces[0].h_new.ndim == 2
     X = np.vstack([tr.x for tr in traces])
     H = np.vstack([tr.h_prev for tr in traces])
     G = np.empty((len(X), 3 * h))  # [a_z | a_r | d_hu]: the gradient through U
@@ -352,22 +352,17 @@ def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
     D = np.array(d_h_last, dtype=np.float64)  # running gradient on each sequence's state
     U = p.U
     end = len(X)
-    for t in range(len(traces) - 1, -1, -1):
-        tr = traces[t]
-        if packed:
-            b = len(tr.h_new)
-            end -= b
-            k, active = slice(end, end + b), slice(0, b)
-        else:
-            k, active = t, slice(None)
-        d_h = D[active]
-        g = G[k]
+    for tr in reversed(traces):
+        b = len(tr.h_new)
+        end -= b
+        d_h = D[:b]
+        g = G[end:end + b]
         a_h = d_h * (1.0 - tr.z) * (1.0 - tr.h_tilde * tr.h_tilde)
-        A_h[k] = a_h
-        g[..., :h] = d_h * (tr.h_prev - tr.h_tilde) * tr.z * (1.0 - tr.z)
-        g[..., h:2 * h] = a_h * tr.hu * tr.r * (1.0 - tr.r)
-        g[..., 2 * h:] = a_h * tr.r
-        D[active] = d_h * tr.z + g @ U
+        A_h[end:end + b] = a_h
+        g[:, :h] = d_h * (tr.h_prev - tr.h_tilde) * tr.z * (1.0 - tr.z)
+        g[:, h:2 * h] = a_h * tr.hu * tr.r * (1.0 - tr.r)
+        g[:, 2 * h:] = a_h * tr.r
+        D[:b] = d_h * tr.z + g @ U
     d_U = G.T @ H
     G[:, 2 * h:] = A_h  # now [a_z | a_r | a_h]: the gradient through W and b
     d_W = G.T @ X
@@ -376,66 +371,58 @@ def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
     return dict(zip(TENSOR_NAMES, blocks)), G @ p.W, D
 
 
-def birnn_forward(p: BiRnnParams, xs, lengths=None) -> BiRnnTrace:
-    """Unroll both directions; the backward direction consumes reversed xs.
-
-    With lengths, xs holds several sequences concatenated in order, and
-    each direction runs all of them at once, packed.
-    """
+def birnn_forward(p: BiRnnParams, xs, lengths) -> BiRnnTrace:
+    """Unroll both directions over sequences of these lengths, concatenated
+    in order in xs; each direction runs all of them at once, packed, and
+    the backward direction consumes each sequence reversed."""
     X = np.asarray(xs, dtype=np.float64)
-    if len(X) == 0:
-        raise ValueError("birnn_forward requires a non-empty sequence")
-    h = p.hidden_size
-    if lengths is None:
-        h0 = np.zeros(h)
-        return BiRnnTrace(fwd=rnn_unroll(p.fwd, X, h0), bwd=rnn_unroll(p.bwd, X[::-1], h0))
     pk = pack(lengths)
     if len(pk.fwd) != len(X):
         raise ValueError(f"lengths add up to {len(pk.fwd)}, not to the {len(X)} inputs")
-    h0 = np.zeros((len(pk.order), h))
+    h0 = np.zeros((len(pk.order), p.hidden_size))
     return BiRnnTrace(fwd=rnn_unroll(p.fwd, X[pk.fwd], h0, pk.batch_sizes),
                       bwd=rnn_unroll(p.bwd, X[pk.bwd], h0, pk.batch_sizes), packing=pk)
 
 
-def _last_states(traces: list) -> np.ndarray:
-    """Each packed sequence's state after its own last step."""
-    last = np.empty_like(traces[0].h_new)
-    for tr in traces:
-        last[:len(tr.h_new)] = tr.h_new
-    return last
+def _last_states(traces: list, out: np.ndarray) -> None:
+    """Writes each packed sequence's state after its own last step into
+    the rows of out, in packed order."""
+    done = 0
+    for tr in reversed(traces):
+        b = len(tr.h_new)
+        if b > done:
+            out[done:b] = tr.h_new[done:]
+            done = b
 
 
 def birnn_output(trace: BiRnnTrace) -> np.ndarray:
-    """[final forward state ; backward state at sequence position 1];
-    one row per sequence, in their own order, when packed."""
-    if trace.packing is None:
-        return np.concatenate((trace.fwd[-1].h_new, trace.bwd[-1].h_new))
-    out = np.empty((len(trace.packing.order), 2 * trace.fwd[0].h_new.shape[1]))
-    out[trace.packing.order] = np.concatenate(
-        (_last_states(trace.fwd), _last_states(trace.bwd)), axis=1)
+    """[final forward state ; backward state at sequence position 1], one
+    row per sequence, in their own order."""
+    h = trace.fwd[0].h_new.shape[1]
+    by_length = np.empty((len(trace.packing.order), 2 * h))
+    _last_states(trace.fwd, by_length[:, :h])
+    _last_states(trace.bwd, by_length[:, h:])
+    out = np.empty_like(by_length)
+    out[trace.packing.order] = by_length
     return out
 
 
 def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):
     """Gradients of birnn_output w.r.t. both directions and the inputs.
 
-    Returns (grad dict keyed fwd.*/bwd.*, input gradients with one row
-    per input, in the order of xs).
+    d_out has one row per sequence.  Returns (grad dict keyed fwd.*/bwd.*,
+    input gradients with one row per input, in the order of xs).
     """
     h = p.hidden_size
     pk = trace.packing
-    want = (2 * h,) if pk is None else (len(pk.order), 2 * h)
-    if d_out.shape != want:
-        raise ValueError(f"d_out shape {d_out.shape} != {want}")
-    d_sorted = d_out if pk is None else d_out[pk.order]
-    g_fwd, d_xs_fwd, _ = rnn_backward(p.fwd, trace.fwd, d_sorted[..., :h])
-    g_bwd, d_xs_bwd, _ = rnn_backward(p.bwd, trace.bwd, d_sorted[..., h:])
-    if pk is None:
-        d_xs = d_xs_fwd + d_xs_bwd[::-1]
-    else:
-        d_xs = np.empty_like(d_xs_fwd)
-        d_xs[pk.fwd] = d_xs_fwd
-        d_xs[pk.bwd] += d_xs_bwd
+    if d_out.shape != (len(pk.order), 2 * h):
+        raise ValueError(f"d_out shape {d_out.shape} != {(len(pk.order), 2 * h)}")
+    d_sorted = d_out[pk.order]
+    g_fwd, d_xs_fwd, _ = rnn_backward(p.fwd, trace.fwd, d_sorted[:, :h])
+    g_bwd, d_xs_bwd, _ = rnn_backward(p.bwd, trace.bwd, d_sorted[:, h:])
+    d_xs = np.empty_like(d_xs_fwd)
+    d_xs[pk.fwd] = d_xs_fwd
+    d_xs[pk.bwd] += d_xs_bwd
     grads = {f"fwd.{k}": v for k, v in g_fwd.items()}
     grads.update({f"bwd.{k}": v for k, v in g_bwd.items()})
     return grads, d_xs

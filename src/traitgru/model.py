@@ -13,8 +13,8 @@ levels serves every kind:
    each token becomes one row: the concatenated final states of its two
    directions.  In C2W2S4PT that level composes each word from its
    characters (Ling et al. 2015, arXiv:1508.02096);
-3. run the top level over the rows, as one sequence, and the head over
-   its output, the sentence vector (flat_forward).
+3. run the top level over the rows, as a pack of one, and the head over
+   its one output row, the sentence vector (flat_forward).
 
 The backward pass walks the same steps in reverse (flat_backward, then
 the lower levels) and ends in one scatter-add into the table columns
@@ -43,6 +43,7 @@ at paper dimensions), while one tweet's traces are freed as soon as its
 gradients are added.
 """
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -206,6 +207,8 @@ def head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
     pre = require_finite("mlp head", head.w_eh @ x) + head.b_h
     h_s = np.maximum(pre, 0.0)
     y = float(head.w_hy[0] @ h_s) + float(head.b_y[0])
+    if not math.isfinite(y):
+        raise FloatingPointError("mlp head produced a non-finite score")
     return HeadTrace(x_fed=x, pre_relu=pre, h_s=h_s, y=y)
 
 
@@ -240,8 +243,8 @@ def flat_forward(params: ModelParams, xs: np.ndarray, dropout: DropoutPlan = Non
     if dropping and dropout.on_words and params.spec.mask_top:
         mask = dropout.draw_mask(xs.size).reshape(xs.shape)
         xs = xs * mask
-    top = birnn_forward(params.levels[-1], xs)
-    e_s = birnn_output(top)
+    top = birnn_forward(params.levels[-1], xs, [len(xs)])
+    e_s = birnn_output(top)[0]
     sent_mask = dropout.draw_mask(e_s.shape[0]) if dropping and dropout.on_sentence else None
     head = head_forward(params.head, e_s * sent_mask if sent_mask is not None else e_s)
     return head.y, Trace(mask=mask, top=top, e_s=e_s, sent_mask=sent_mask, head=head)
@@ -252,7 +255,7 @@ def flat_backward(params: ModelParams, trace: Trace, d_y: float, grads: dict) ->
     grads; returns the gradient on flat_forward's input rows."""
     d_in = _head_backward(params.head, trace.head, d_y, grads)
     d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    g, d_xs = birnn_backward(params.levels[-1], trace.top, d_e_s)
+    g, d_xs = birnn_backward(params.levels[-1], trace.top, d_e_s[None])
     _add_grads(grads, params.spec.levels[-1][0], g)
     return d_xs * trace.mask if trace.mask is not None else d_xs
 

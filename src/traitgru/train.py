@@ -255,7 +255,8 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     held-out fold supplies a per-epoch validation RMSE (validate=False
     skips that inference pass).  The vocabulary is always built from the
     training records only.  on_epoch(report) fires as each epoch ends,
-    e.g. to stream the epoch CSV.
+    e.g. to stream the epoch CSV.  A training step's FloatingPointError is
+    raised again naming the trait, epoch, batch and index in tweets.
     """
     kind = ModelKind(kind)
     spec_of(kind)  # rejects a kind that has no row in the spec table
@@ -286,7 +287,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
         order = list(range(n))
         shuffle_rng.shuffle(order)
         sq_sum = 0.0
-        for batch in _chunked(order, cfg.batch_size):
+        for batch_no, batch in enumerate(_chunked(order, cfg.batch_size), start=1):
             batch = sorted(batch)
             grads = zero_grads(reg.params)
             inv = 1.0 / len(batch)
@@ -295,7 +296,12 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
                 if cfg.dropout_rate > 0.0:
                     dp = DropoutPlan(cfg.dropout_rate, dropout_rng,
                                      cfg.dropout_words, cfg.dropout_sentence)
-                y_hat, trace = reg.forward(train_tweets[i], dp)
+                try:
+                    y_hat, trace = reg.forward(train_tweets[i], dp)
+                except FloatingPointError as e:
+                    raise FloatingPointError(
+                        f"{e} (trait {trait}, epoch {epoch}, batch {batch_no}, "
+                        f"training tweet {train_idx[i]})") from e
                 err = y_hat - ys[i]
                 sq_sum += err * err
                 reg.backward(trace, 2.0 * err * inv, grads)

@@ -123,7 +123,7 @@ def test_criterion_06_gru_invariants_fuzzed():
         h = 1 + rng.below(6)
         p = random_params(rng, d, h)
         xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(5))]
-        traces = rnn_unroll(p, xs, np.zeros(h))
+        traces = rnn_unroll(p, xs, np.zeros((1, h)), [1] * len(xs))  # a pack of one
         for tr in traces:
             assert np.all((tr.z > 0) & (tr.z < 1))
             assert np.all((tr.r > 0) & (tr.r < 1))
@@ -134,8 +134,8 @@ def test_criterion_06_gru_invariants_fuzzed():
         if duals < 500:
             q = random_params(rng, d, h)
             bi = BiRnnParams(fwd=p, bwd=q)
-            trace = birnn_forward(bi, xs)
-            ref = rnn_unroll(q, list(reversed(xs)), np.zeros(h))
+            trace = birnn_forward(bi, xs, [len(xs)])
+            ref = rnn_unroll(q, list(reversed(xs)), np.zeros((1, h)), [1] * len(xs))
             for a, b in zip(trace.bwd, ref):
                 np.testing.assert_allclose(a.h_new, b.h_new, atol=1e-12)
             duals += 1

@@ -3,6 +3,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from traitgru import checkpoint as C
 from traitgru.cli import main
@@ -209,3 +211,80 @@ def test_vocabulary_of_another_kind_rejected(kind, tmp_path, capsys):
     C.save(ckpt, bad)
     err = _expect_rejected(bad, f"needs a {SPECS[kind].vocab.__name__}", capsys)
     assert type(ckpt.vocab).__name__ in err
+
+
+@pytest.mark.parametrize("name, value", [("b_y", np.nan), ("w_hy", np.nan), ("b_h", np.nan),
+                                         ("b_y", np.inf), ("e_c", -np.inf)])
+def test_non_finite_tensor_rejected(trained, tmp_path, capsys, name, value):
+    _, path, _ = trained
+    ckpt = C.load(path)
+    ckpt.tensors[name].reshape(-1)[0] = value
+    bad = tmp_path / "non_finite.ckpt"
+    C.save(ckpt, bad)
+    err = _expect_rejected(bad, f"tensor {name} holds non-finite values", capsys)
+    assert name in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(trained, tmp_path_factory):
+    """Checkpoint bytes of a character-vocabulary and a word-vocabulary kind,
+    plus a directory for the mutated copies."""
+    tweets, _ = build_tweets(generate_fixture(2, 3, seed=6))
+    cfg = TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2, word_dim=2, epochs=1)
+    word = tmp_path_factory.mktemp("fuzz") / "word.ckpt"
+    C.save(train(ModelKind.BI_GRU_WORD, tweets, "ext", cfg)[0], word)
+    return {"c2w2s4pt": trained[1].read_bytes(), "bigru-word": word.read_bytes()}, word.parent
+
+
+def _shape_fields(blob: bytes) -> list:
+    """Offsets of the u64 shape fields of every tensor record."""
+    at = _count_offset(blob)
+    (count,) = struct.unpack_from("<I", blob, at)
+    at += 4
+    offsets = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        ndim = blob[at + 2 + name_len]
+        at += 3 + name_len
+        shape = struct.unpack_from(f"<{ndim}Q", blob, at)
+        offsets += [at + 8 * i for i in range(ndim)]
+        at += 8 * ndim + 8 * int(np.prod(shape))
+    return offsets
+
+
+u64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["c2w2s4pt", "bigru-word"]), data=st.data())
+def test_mutated_checkpoint_loads_finite_or_raises_checkpoint_error(fuzz_inputs, capsys,
+                                                                    kind, data):
+    blobs, work = fuzz_inputs
+    blob = bytearray(blobs[kind])
+    records = _count_offset(blob)  # where the header ends and the tensor records begin
+    how = data.draw(st.sampled_from(["truncate", "header bytes", "payload bytes",
+                                     "header length", "shape field"]))
+    if how == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif how in ("header bytes", "payload bytes"):
+        lo, hi = (0, records - 1) if how == "header bytes" else (records, len(blob) - 1)
+        for i in data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4)):
+            blob[i] ^= data.draw(st.integers(1, 255))
+    elif how == "header length":
+        near = st.integers(max(0, records - 20 - 16), records - 20 + 16)
+        blob[12:20] = struct.pack("<Q", data.draw(st.one_of(near, u64)))
+    else:
+        at = data.draw(st.sampled_from(_shape_fields(blob)))
+        blob[at:at + 8] = struct.pack("<Q", data.draw(st.one_of(st.integers(0, 9), u64)))
+    bad = work / "mutated.ckpt"
+    bad.write_bytes(bytes(blob))
+    try:
+        loaded = C.load(bad)
+    except C.CheckpointError:
+        pass
+    else:
+        assert all(np.isfinite(t).all() for t in loaded.tensors.values())
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad), "--text", "hello there"]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err

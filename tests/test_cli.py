@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -168,6 +169,21 @@ def test_train_exits_1_when_the_model_cannot_be_allocated(workspace, capsys):
     assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
                  "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_exits_1_naming_the_step_that_went_non_finite(workspace, capsys):
+    tmp_path, _, data_path = workspace
+    cfg_path = tmp_path / "steep.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e300"),
+                        encoding="utf-8")
+    out = tmp_path / "steep.ckpt"
+    assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+                 "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error:") and "non-finite" in err
+    assert re.search(r"\(trait ext, epoch \d+, batch \d+, training tweet \d+\)$", err), err
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from traitgru.gru import (BiRnnParams, GruParams, birnn_backward, birnn_forward,
-                          birnn_output, gru_backward, gru_forward, rnn_backward,
-                          rnn_unroll)
+from traitgru.gru import (BiRnnParams, GruCellTrace, GruParams, birnn_backward,
+                          birnn_forward, birnn_output, gru_backward, gru_forward,
+                          rnn_backward, rnn_unroll)
 from traitgru.rng import SplitMix64
 
 # Frozen against an arbitrary-precision evaluation of the cell equations
@@ -31,6 +33,21 @@ def random_params(rng: SplitMix64, d_in: int, h: int, scale: float = None) -> Gr
                      u_z=m(h, h), u_r=m(h, h), u_h=m(h, h),
                      b_z=rng.uniforms(h, -s, s), b_r=rng.uniforms(h, -s, s),
                      b_h=rng.uniforms(h, -s, s))
+
+
+def unroll(p: GruParams, xs) -> list:
+    """rnn_unroll over one sequence, a pack of one: every trace holds (1, h) rows."""
+    return rnn_unroll(p, xs, np.zeros((1, p.hidden_size)), [1] * len(xs))
+
+
+def encode(p: BiRnnParams, xs):
+    """birnn_forward over one sequence, a pack of one."""
+    return birnn_forward(p, xs, [len(xs)])
+
+
+def row(tr: GruCellTrace, i: int = 0) -> GruCellTrace:
+    """Row i of a packed step's trace, as the (h,) trace gru_backward takes."""
+    return GruCellTrace(*(getattr(tr, f.name)[i] for f in fields(tr)))
 
 
 class TestForward:
@@ -129,33 +146,33 @@ class TestUnroll:
         rng = SplitMix64(1)
         p = random_params(rng, 2, 3)
         x = rng.uniforms(2, -1, 1)
-        traces = rnn_unroll(p, [x], np.zeros(3))
-        np.testing.assert_array_equal(traces[0].h_new,
+        traces = unroll(p, [x])
+        np.testing.assert_array_equal(traces[0].h_new[0],
                                       gru_forward(p, x, np.zeros(3)).h_new)
 
     def test_zero_params_stay_zero(self):
         p = GruParams.zeros(2, 2)
         rng = SplitMix64(2)
         xs = [rng.uniforms(2, -1, 1) for _ in range(5)]
-        for tr in rnn_unroll(p, xs, np.zeros(2)):
-            np.testing.assert_array_equal(tr.h_new, np.zeros(2))
+        for tr in unroll(p, xs):
+            np.testing.assert_array_equal(tr.h_new[0], np.zeros(2))
 
     def test_two_step_scalar_chain(self):
-        traces = rnn_unroll(scalar_params(), [np.array([1.0]), np.array([1.0])], np.zeros(1))
-        np.testing.assert_allclose(traces[0].h_new[0], SCALAR_H1, atol=1e-5)
-        np.testing.assert_allclose(traces[1].h_new[0], SCALAR_H2, atol=1e-5)
+        traces = unroll(scalar_params(), [np.array([1.0]), np.array([1.0])])
+        np.testing.assert_allclose(traces[0].h_new[0, 0], SCALAR_H1, atol=1e-5)
+        np.testing.assert_allclose(traces[1].h_new[0, 0], SCALAR_H2, atol=1e-5)
 
     def test_states_chain(self):
         rng = SplitMix64(3)
         p = random_params(rng, 2, 2)
         xs = [rng.uniforms(2, -1, 1) for _ in range(4)]
-        traces = rnn_unroll(p, xs, np.zeros(2))
+        traces = unroll(p, xs)
         for a, b in zip(traces, traces[1:]):
             np.testing.assert_array_equal(b.h_prev, a.h_new)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            rnn_unroll(scalar_params(), [], np.zeros(1))
+            unroll(scalar_params(), [])
 
 
 class TestBiRnn:
@@ -163,14 +180,14 @@ class TestBiRnn:
         rng = SplitMix64(4)
         p = BiRnnParams(fwd=random_params(rng, 2, 3), bwd=random_params(rng, 2, 3))
         x = rng.uniforms(2, -1, 1)
-        out = birnn_output(birnn_forward(p, [x]))
+        out = birnn_output(encode(p, [x]))[0]
         h0 = np.zeros(3)
         np.testing.assert_array_equal(out[:3], gru_forward(p.fwd, x, h0).h_new)
         np.testing.assert_array_equal(out[3:], gru_forward(p.bwd, x, h0).h_new)
 
     def test_zero_params_zero_vector(self):
         p = BiRnnParams(fwd=GruParams.zeros(2, 3), bwd=GruParams.zeros(2, 3))
-        out = birnn_output(birnn_forward(p, [np.ones(2), np.ones(2)]))
+        out = birnn_output(encode(p, [np.ones(2), np.ones(2)]))[0]
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_palindrome_with_tied_directions(self):
@@ -178,13 +195,13 @@ class TestBiRnn:
         fwd = random_params(rng, 2, 3)
         p = BiRnnParams(fwd=fwd, bwd=fwd)
         a, b = rng.uniforms(2, -1, 1), rng.uniforms(2, -1, 1)
-        out = birnn_output(birnn_forward(p, [a, b, a]))
+        out = birnn_output(encode(p, [a, b, a]))[0]
         np.testing.assert_allclose(out[:3], out[3:], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = BiRnnParams(fwd=scalar_params(), bwd=scalar_params())
         with pytest.raises(ValueError):
-            birnn_output(birnn_forward(p, []))
+            birnn_output(encode(p, []))
 
     def test_direction_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="direction"):
@@ -195,8 +212,8 @@ class TestBiRnn:
         p = random_params(rng, 3, 4)
         xs = [rng.uniforms(3, -1, 1) for _ in range(6)]
         bp = BiRnnParams(fwd=random_params(rng, 3, 4), bwd=p)
-        trace = birnn_forward(bp, xs)
-        fwd_on_reversed = rnn_unroll(p, list(reversed(xs)), np.zeros(4))
+        trace = encode(bp, xs)
+        fwd_on_reversed = unroll(p, list(reversed(xs)))
         for a, b in zip(trace.bwd, fwd_on_reversed):
             np.testing.assert_allclose(a.h_new, b.h_new, atol=1e-12)
 
@@ -209,7 +226,7 @@ class TestInvariants:
             h = 1 + rng.below(8)
             p = random_params(rng, d, h)
             xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(6))]
-            for tr in rnn_unroll(p, xs, np.zeros(h)):
+            for tr in unroll(p, xs):
                 assert np.all((tr.z > 0) & (tr.z < 1))
                 assert np.all((tr.r > 0) & (tr.r < 1))
                 assert np.all((tr.h_tilde > -1) & (tr.h_tilde < 1))
@@ -219,7 +236,7 @@ class TestInvariants:
         rng = SplitMix64(9)
         p = random_params(rng, 2, 3, scale=1.5)
         xs = [rng.uniforms(2, -3, 3) for _ in range(500)]
-        for tr in rnn_unroll(p, xs, np.zeros(3)):
+        for tr in unroll(p, xs):
             assert np.all(np.abs(tr.h_new) < 1)
 
     def test_bptt_matches_finite_differences_50_configs(self):
@@ -233,8 +250,8 @@ class TestInvariants:
             p = random_params(rng, d, h)
             xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(4))]
             d_last = rng.uniforms(h, -1, 1)
-            traces = rnn_unroll(p, xs, np.zeros(h))
-            grads, d_xs, _ = rnn_backward(p, traces, d_last)
+            traces = unroll(p, xs)
+            grads, d_xs, _ = rnn_backward(p, traces, d_last[None])
             eps = 1e-5
             for name, theta in p.tensors().items():
                 flat = theta.reshape(-1)
@@ -242,9 +259,9 @@ class TestInvariants:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + eps
-                    hi = float(d_last @ rnn_unroll(p, xs, np.zeros(h))[-1].h_new)
+                    hi = float(d_last @ unroll(p, xs)[-1].h_new[0])
                     flat[i] = orig - eps
-                    lo = float(d_last @ rnn_unroll(p, xs, np.zeros(h))[-1].h_new)
+                    lo = float(d_last @ unroll(p, xs)[-1].h_new[0])
                     flat[i] = orig
                     fd[i] = (hi - lo) / (2 * eps)
                 worst = max(worst, max_rel_err(grads[name].reshape(-1), fd))
@@ -253,9 +270,9 @@ class TestInvariants:
                 for i in range(d):
                     orig = x[i]
                     x[i] = orig + eps
-                    hi = float(d_last @ rnn_unroll(p, xs, np.zeros(h))[-1].h_new)
+                    hi = float(d_last @ unroll(p, xs)[-1].h_new[0])
                     x[i] = orig - eps
-                    lo = float(d_last @ rnn_unroll(p, xs, np.zeros(h))[-1].h_new)
+                    lo = float(d_last @ unroll(p, xs)[-1].h_new[0])
                     x[i] = orig
                     fd[i] = (hi - lo) / (2 * eps)
                 worst = max(worst, max_rel_err(d_xs[t], fd))
@@ -272,13 +289,13 @@ def test_rnn_backward_equals_stepwise_cell_backward():
         p = random_params(rng, d, h)
         xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(5))]
         d_last = rng.uniforms(h, -1, 1)
-        traces = rnn_unroll(p, xs, np.zeros(h))
-        grads, d_xs, d_h0 = rnn_backward(p, traces, d_last)
+        traces = unroll(p, xs)
+        grads, d_xs, d_h0 = rnn_backward(p, traces, d_last[None])
         ref = {name: np.zeros_like(arr) for name, arr in p.tensors().items()}
         d_h = d_last
         ref_d_xs = [None] * len(traces)
         for t in range(len(traces) - 1, -1, -1):
-            g = gru_backward(p, traces[t], d_h)
+            g = gru_backward(p, row(traces[t]), d_h)
             for name in ref:
                 ref[name] += getattr(g, "d_" + name)
             ref_d_xs[t] = g.d_x
@@ -287,7 +304,7 @@ def test_rnn_backward_equals_stepwise_cell_backward():
             np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-14)
         for a, b in zip(d_xs, ref_d_xs):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(d_h0, d_h, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(d_h0[0], d_h, rtol=1e-12, atol=1e-14)
 
 
 def test_birnn_backward_matches_finite_differences():
@@ -295,8 +312,8 @@ def test_birnn_backward_matches_finite_differences():
     p = BiRnnParams(fwd=random_params(rng, 2, 2), bwd=random_params(rng, 2, 2))
     xs = [rng.uniforms(2, -1, 1) for _ in range(3)]
     d_out = rng.uniforms(4, -1, 1)
-    trace = birnn_forward(p, xs)
-    grads, d_xs = birnn_backward(p, trace, d_out)
+    trace = encode(p, xs)
+    grads, d_xs = birnn_backward(p, trace, d_out[None])
     eps = 1e-5
     tensors = p.tensors()
     for name, theta in tensors.items():
@@ -305,9 +322,9 @@ def test_birnn_backward_matches_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(d_out @ birnn_output(birnn_forward(p, xs)))
+            hi = float(d_out @ birnn_output(encode(p, xs))[0])
             flat[i] = orig - eps
-            lo = float(d_out @ birnn_output(birnn_forward(p, xs)))
+            lo = float(d_out @ birnn_output(encode(p, xs))[0])
             flat[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
         assert max_rel_err(grads[name].reshape(-1), fd) < 1e-4, name
@@ -316,9 +333,9 @@ def test_birnn_backward_matches_finite_differences():
         for i in range(2):
             orig = x[i]
             x[i] = orig + eps
-            hi = float(d_out @ birnn_output(birnn_forward(p, xs)))
+            hi = float(d_out @ birnn_output(encode(p, xs))[0])
             x[i] = orig - eps
-            lo = float(d_out @ birnn_output(birnn_forward(p, xs)))
+            lo = float(d_out @ birnn_output(encode(p, xs))[0])
             x[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
         assert max_rel_err(d_xs[t], fd) < 1e-4

@@ -15,6 +15,14 @@ class TestMatvec:
         with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="mlp head"):
             head_forward(head, np.array([1e308, 1e308]))
 
+    def test_nonfinite_score_aborts(self):
+        # w_eh @ x is finite, and the output layer's product overflows.
+        head = MlpHead(w_eh=np.full((2, 1), 1e308), b_h=np.zeros(2),
+                       w_hy=np.full((1, 2), 10.0), b_y=np.zeros(1))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                       match="mlp head .* non-finite score"):
+            head_forward(head, np.array([1.0]))
+
 
 class TestActivations:
     def test_sigmoid_symmetry_point(self):

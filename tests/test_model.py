@@ -55,7 +55,7 @@ class TestComposeWord:
         vocab = CharVocab({"a": 0})
         params = tiny_model(vocab.size, seed=3)
         expected = birnn_output(birnn_forward(params.levels[0],
-                                              [params.table[:, vocab.id_of("a")]]))
+                                              [params.table[:, vocab.id_of("a")]], [1]))[0]
         np.testing.assert_array_equal(compose_word(params, vocab, "a"), expected)
 
     def test_scalar_config_matches_manual_unroll(self):
@@ -108,7 +108,7 @@ class TestEncodeSentence:
         trace = encode(params, vocab, ("hi",))
         e_w = compose_word(params, vocab, "hi")
         np.testing.assert_array_equal(trace.e_s,
-                                      birnn_output(birnn_forward(params.levels[1], [e_w])))
+                                      birnn_output(birnn_forward(params.levels[1], [e_w], [1]))[0])
         assert birnn_output(trace.lower[0]).shape == (1, e_w.shape[0])
 
     def test_zero_params_zero_sentence(self):
@@ -248,6 +248,17 @@ class TestBackwardFull:
         assert err < 1e-4
 
 
+def assert_gradients_reach_below_the_head(reg, tweet):
+    """The head has an active unit, so every GRU tensor and the table get a
+    non-zero gradient and a gradient check covers them."""
+    _, trace = reg.forward(tweet)
+    assert np.any(trace.head.pre_relu > 0)
+    grads = reg.backward(trace, 1.0)
+    for name in grads:
+        if name not in reg.params.head.tensors():
+            assert np.any(grads[name] != 0), name
+
+
 class TestBaselines:
     def test_average_predictor(self):
         from traitgru.evaluate import average_baseline_fit
@@ -271,7 +282,8 @@ class TestBaselines:
 
     def test_word_baseline_gradient_check(self):
         corpus = [mk_tweet("aa bb cc")]
-        reg = tiny_regressor(corpus, kind=ModelKind.BI_GRU_WORD, seed=11)
+        reg = tiny_regressor(corpus, kind=ModelKind.BI_GRU_WORD, seed=10)
+        assert_gradients_reach_below_the_head(reg, mk_tweet("aa bb"))
         err = check_gradients(reg, mk_tweet("aa bb"), y=-0.1)
         assert err < 1e-4
 
@@ -283,7 +295,8 @@ class TestBaselines:
 
     def test_char_baseline_gradient_check(self):
         corpus = [mk_tweet("ab cd")]
-        reg = tiny_regressor(corpus, kind=ModelKind.BI_GRU_CHAR, seed=13)
+        reg = tiny_regressor(corpus, kind=ModelKind.BI_GRU_CHAR, seed=12)
+        assert_gradients_reach_below_the_head(reg, mk_tweet("ab c"))
         err = check_gradients(reg, mk_tweet("ab c"), y=0.3)
         assert err < 1e-4
 
@@ -368,7 +381,7 @@ class TestDropoutPlumbing:
         assert trace.mask is not None and trace.mask.shape == e_w.shape
         kept = trace.mask[0] != 0
         np.testing.assert_array_equal(
-            trace.top.fwd[0].x[kept],  # the first word-level input row
+            trace.top.fwd[0].x[0, kept],  # the first word-level input row
             (e_w[0] * trace.mask[0])[kept])
 
     def test_rate_zero_plan_is_identity(self):

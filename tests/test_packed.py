@@ -2,10 +2,9 @@
 
 Regressor.forward/backward run all words of a C2W2S4PT tweet through the
 character bi-GRU at once, packed longest first.  The reference below
-encodes every word as its own single sequence (batch of one), adds the
-per-word gradients one word at a time and scatters each character's
-input gradient into its embedding column, as the model did before
-packing.
+encodes every word as a pack of one, adds the per-word gradients one
+word at a time and scatters each character's input gradient into its
+embedding column, as the model did before packing.
 """
 
 import numpy as np
@@ -31,17 +30,17 @@ def model(seed, d, h):
 
 def per_word_reference(params, tokens, dropout, d_y_of):
     """(score, gradients) with one single-sequence character pass per word."""
-    word_traces = [birnn_forward(params.levels[0], params.table.T[VOCAB.ids_of(tok)])
+    word_traces = [birnn_forward(params.levels[0], params.table.T[VOCAB.ids_of(tok)], [len(tok)])
                    for tok in tokens]
-    e_w = np.array([birnn_output(wt) for wt in word_traces])
+    e_w = np.array([birnn_output(wt)[0] for wt in word_traces])
     masks = None
     if dropout is not None:
         masks = [dropout.draw_mask(e_w.shape[1]) for _ in tokens]
         x = e_w * np.array(masks)
     else:
         x = e_w
-    sentence = birnn_forward(params.levels[1], x)
-    e_s = birnn_output(sentence)
+    sentence = birnn_forward(params.levels[1], x, [len(x)])
+    e_s = birnn_output(sentence)[0]
     sent_mask = dropout.draw_mask(e_s.shape[0]) if dropout is not None else None
     fed = e_s * sent_mask if sent_mask is not None else e_s
     head = params.head
@@ -59,12 +58,12 @@ def per_word_reference(params, tokens, dropout, d_y_of):
     d_e_s = head.w_eh.T @ d_pre
     if sent_mask is not None:
         d_e_s = d_e_s * sent_mask
-    wg, d_xs = birnn_backward(params.levels[1], sentence, d_e_s)
+    wg, d_xs = birnn_backward(params.levels[1], sentence, d_e_s[None])
     for k, v in wg.items():
         grads["word_" + k] += v
     for i, (tok, wt) in enumerate(zip(tokens, word_traces)):
         d_e_w = d_xs[i] * masks[i] if masks is not None else d_xs[i]
-        cg, d_cs = birnn_backward(params.levels[0], wt, d_e_w)
+        cg, d_cs = birnn_backward(params.levels[0], wt, d_e_w[None])
         for k, v in cg.items():
             grads["char_" + k] += v
         for cid, d_c in zip(VOCAB.ids_of(tok), d_cs):
@@ -131,9 +130,9 @@ def test_packed_birnn_rows_equal_single_sequences():
     ref = {k: np.zeros_like(v) for k, v in grads.items()}
     starts = np.cumsum(lengths) - lengths
     for i, (s, n) in enumerate(zip(starts, lengths)):
-        single = birnn_forward(p, X[s:s + n])
-        assert_close(out[i], birnn_output(single), f"output {i}")
-        g, d_single = birnn_backward(p, single, d_out[i])
+        single = birnn_forward(p, X[s:s + n], [n])
+        assert_close(out[i], birnn_output(single)[0], f"output {i}")
+        g, d_single = birnn_backward(p, single, d_out[i:i + 1])
         for k in ref:
             ref[k] += g[k]
         assert_close(d_xs[s:s + n], d_single, f"input gradient {i}")

@@ -215,6 +215,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(ModelKind.C2W2S4PT, [], "ext", tiny_cfg())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_names_trait_epoch_batch_and_tweet(self):
+        # The first step moves every weight by about the learning rate, so
+        # the next batch's scores overflow.
+        with pytest.raises(FloatingPointError) as info:
+            train(ModelKind.C2W2S4PT, fixture_tweets(), "ext", tiny_cfg(learning_rate=1e300))
+        assert str(info.value).endswith("(trait ext, epoch 1, batch 2, training tweet 7)")
+        assert "non-finite" in str(info.value)
+
     def test_word_baseline_trains(self):
         tweets = fixture_tweets(n_users=3, per_user=4)
         ckpt, reports = train(ModelKind.BI_GRU_WORD, tweets, "ext", tiny_cfg(epochs=2))
