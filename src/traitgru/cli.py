@@ -99,9 +99,11 @@ def cmd_predict(args) -> int:
     else:
         lines = sys.stdin.read().splitlines()
     no_traits = data_mod.TraitScores(0, 0, 0, 0, 0)
-    for line in lines:
-        tweets, _ = data_mod.build_tweets([data_mod.RawRecord("stdin", line, no_traits)])
-        print(f"{reg.score(tweets[0]):.6f}" if tweets else "NA")
+    per_line = [data_mod.build_tweets([data_mod.RawRecord("stdin", line, no_traits)])[0]
+                for line in lines]
+    scores = iter(reg.score_many([tweets[0] for tweets in per_line if tweets])[0])
+    for tweets in per_line:
+        print(f"{next(scores):.6f}" if tweets else "NA")
     return 0
 
 
@@ -112,7 +114,7 @@ def cmd_visualize(args) -> int:
     low, high = viz_mod.select_extremes(tweets, args.trait, args.n, seed=args.seed,
                                         tail=args.tail)
     chosen = [(i, "LOW") for i in low] + [(i, "HIGH") for i in high]
-    embeddings = [reg.embedding(tweets[i]) for i, _ in chosen]
+    embeddings = reg.score_many([tweets[i] for i, _ in chosen])[1]
     pca = viz_mod.pca_fit(embeddings, n_components=2)
     if pca.zero_variance:
         print(f"warning: components {pca.zero_variance} carry no variance", file=sys.stderr)

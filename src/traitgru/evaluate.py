@@ -148,9 +148,13 @@ def run_cv(kind: ModelKind, tweets, trait: str, k: int, level: str,
             ckpt, _ = train(kind, tweets, trait, fold_cfg, plan, fold, validate=False)
             reg = ckpt.to_regressor()
             detail.vocab_size = reg.vocab.size
+            try:
+                y_hats = reg.score_many(test_tweets)[0]
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{e} (trait {trait}, fold {fold}, held-out "
+                                         f"scoring)") from e
             fold_preds = []
-            for i, tw in zip(test_idx, test_tweets):
-                y_hat = reg.score(tw)
+            for i, tw, y_hat in zip(test_idx, test_tweets, y_hats.tolist()):
                 if cfg is not None and cfg.clamp_outputs:
                     y_hat = min(0.5, max(-0.5, y_hat))
                 fold_preds.append(TweetPrediction(index=i, user_id=tw.user_id,

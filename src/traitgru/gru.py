@@ -26,6 +26,10 @@ of one, so the top level of every model kind and the lower levels run
 the same cell step and the same BPTT loop, and every trace holds (B, h)
 rows.
 
+gru_cell holds the gate math of a step.  gru_forward wraps its values in
+the trace that backpropagation reads; rnn_final and birnn_final run the
+same steps keeping only the state rows, for scoring without gradients.
+
 The bidirectional encoder runs one parameter set forward over the
 sequence and an independent set over the reversed sequence, then
 concatenates the two final hidden states.  Both directions start from
@@ -246,29 +250,39 @@ class BiRnnTrace:
     packing: Packing
 
 
+def gru_cell(p: GruParams, a: np.ndarray, h_prev: np.ndarray):
+    """The gate math of one step, given the projected inputs a = x W^T + b:
+    (z, r, hu, h_tilde, h_new), with hu a view of the product h_prev U^T."""
+    h = p.hidden_size
+    g = h_prev @ p.U.T
+    zr = sigmoid(a[..., :2 * h] + g[..., :2 * h])
+    z, r = zr[..., :h], zr[..., h:]
+    hu = g[..., 2 * h:]
+    h_tilde = np.tanh(a[..., 2 * h:] + r * hu)
+    h_new = h_tilde + z * (h_prev - h_tilde)
+    require_finite("gru_forward", h_new)
+    return z, r, hu, h_tilde, h_new
+
+
 def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
     """One cell step; returns the full trace (h_new is trace.h_new).
 
     x is (d,) with h_prev (h,), or B rows (B, d) with h_prev (B, h); or a
     GateInput carrying x together with its precomputed projection.
     """
-    h = p.hidden_size
     if isinstance(x, GateInput):  # from rnn_unroll, which checked the shapes
         x, a = x
     else:
+        h = p.hidden_size
         if x.ndim not in (1, 2) or x.shape[-1] != p.input_size:
             raise ValueError(f"x shape {x.shape} != ({p.input_size},) or (B, {p.input_size})")
         if h_prev.shape != x.shape[:-1] + (h,):
             raise ValueError(f"h_prev shape {h_prev.shape} != {x.shape[:-1] + (h,)}")
         a = x @ p.W.T + p.b
-    g = h_prev @ p.U.T
-    zr = sigmoid(a[..., :2 * h] + g[..., :2 * h])
-    z, r = zr[..., :h], zr[..., h:]
-    hu = g[..., 2 * h:].copy()  # a copy, so the trace does not keep all of g alive
-    h_tilde = np.tanh(a[..., 2 * h:] + r * hu)
-    h_new = h_tilde + z * (h_prev - h_tilde)
-    require_finite("gru_forward", h_new)
-    return GruCellTrace(x=x, h_prev=h_prev, z=z, r=r, h_tilde=h_tilde, h_new=h_new, hu=hu)
+    z, r, hu, h_tilde, h_new = gru_cell(p, a, h_prev)
+    # hu is copied, so the trace does not keep all of h_prev U^T alive.
+    return GruCellTrace(x=x, h_prev=h_prev, z=z, r=r, h_tilde=h_tilde, h_new=h_new,
+                        hu=hu.copy())
 
 
 def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruGrads:
@@ -304,6 +318,21 @@ def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruG
     )
 
 
+def _projected(p: GruParams, xs, batch_sizes):
+    """The packed input rows and their projection X W^T + b, which every
+    step of an unroll reads, taken as one product before the time loop."""
+    X = np.asarray(xs, dtype=np.float64)
+    if len(X) == 0:
+        raise ValueError("an unroll requires a non-empty sequence")
+    if X.ndim != 2 or X.shape[1] != p.input_size:
+        raise ValueError(f"inputs of shape {X.shape[1:]} != ({p.input_size},)")
+    if sum(batch_sizes) != len(X):
+        raise ValueError(f"batch sizes {batch_sizes} do not fit {len(X)} rows")
+    A = X @ p.W.T
+    A += p.b
+    return X, A
+
+
 def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes) -> list:
     """Run the cell over packed rows starting from h0; one trace per step.
 
@@ -311,15 +340,9 @@ def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes) -> list:
     next batch_sizes[t] rows, and h0 is (batch_sizes[0], h).
     trace[t].h_prev is the leading rows of trace[t-1].h_new.
     """
-    X = np.asarray(xs, dtype=np.float64)
-    if len(X) == 0:
-        raise ValueError("rnn_unroll requires a non-empty sequence")
-    if X.ndim != 2 or X.shape[1] != p.input_size:
-        raise ValueError(f"inputs of shape {X.shape[1:]} != ({p.input_size},)")
-    if sum(batch_sizes) != len(X) or h0.shape != (batch_sizes[0], p.hidden_size):
-        raise ValueError(f"batch sizes {batch_sizes} do not fit {len(X)} rows and h0 {h0.shape}")
-    A = X @ p.W.T
-    A += p.b
+    X, A = _projected(p, xs, batch_sizes)
+    if h0.shape != (batch_sizes[0], p.hidden_size):
+        raise ValueError(f"h0 shape {h0.shape} != {(batch_sizes[0], p.hidden_size)}")
     traces = []
     h = h0
     start = 0
@@ -330,6 +353,23 @@ def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes) -> list:
         h = tr.h_new
         start = end
     return traces
+
+
+def rnn_final(p: GruParams, xs, batch_sizes) -> np.ndarray:
+    """Each packed sequence's state after its own last step, (B, h) in
+    packed order, from the zero state: rnn_unroll's cell steps keeping
+    no trace, only the state rows, each final row written as its
+    sequence ends."""
+    _, A = _projected(p, xs, batch_sizes)
+    out = np.empty((batch_sizes[0], p.hidden_size))
+    h = np.zeros_like(out)
+    start = 0
+    for b, b_next in zip(batch_sizes, batch_sizes[1:] + [0]):
+        end = start + b
+        h = gru_cell(p, A[start:end], h[:b])[-1]
+        out[b_next:b] = h[b_next:]
+        start = end
+    return out
 
 
 def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
@@ -371,14 +411,19 @@ def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
     return dict(zip(TENSOR_NAMES, blocks)), G @ p.W, D
 
 
-def birnn_forward(p: BiRnnParams, xs, lengths) -> BiRnnTrace:
-    """Unroll both directions over sequences of these lengths, concatenated
-    in order in xs; each direction runs all of them at once, packed, and
-    the backward direction consumes each sequence reversed."""
+def _packed_inputs(xs, lengths):
     X = np.asarray(xs, dtype=np.float64)
     pk = pack(lengths)
     if len(pk.fwd) != len(X):
         raise ValueError(f"lengths add up to {len(pk.fwd)}, not to the {len(X)} inputs")
+    return X, pk
+
+
+def birnn_forward(p: BiRnnParams, xs, lengths) -> BiRnnTrace:
+    """Unroll both directions over sequences of these lengths, concatenated
+    in order in xs; each direction runs all of them at once, packed, and
+    the backward direction consumes each sequence reversed."""
+    X, pk = _packed_inputs(xs, lengths)
     h0 = np.zeros((len(pk.order), p.hidden_size))
     return BiRnnTrace(fwd=rnn_unroll(p.fwd, X[pk.fwd], h0, pk.batch_sizes),
                       bwd=rnn_unroll(p.bwd, X[pk.bwd], h0, pk.batch_sizes), packing=pk)
@@ -395,6 +440,12 @@ def _last_states(traces: list, out: np.ndarray) -> None:
             done = b
 
 
+def _in_own_order(pk: Packing, by_length: np.ndarray) -> np.ndarray:
+    out = np.empty_like(by_length)
+    out[pk.order] = by_length
+    return out
+
+
 def birnn_output(trace: BiRnnTrace) -> np.ndarray:
     """[final forward state ; backward state at sequence position 1], one
     row per sequence, in their own order."""
@@ -402,9 +453,16 @@ def birnn_output(trace: BiRnnTrace) -> np.ndarray:
     by_length = np.empty((len(trace.packing.order), 2 * h))
     _last_states(trace.fwd, by_length[:, :h])
     _last_states(trace.bwd, by_length[:, h:])
-    out = np.empty_like(by_length)
-    out[trace.packing.order] = by_length
-    return out
+    return _in_own_order(trace.packing, by_length)
+
+
+def birnn_final(p: BiRnnParams, xs, lengths) -> np.ndarray:
+    """birnn_output of birnn_forward(p, xs, lengths), computed without
+    traces: one row per sequence, in their own order."""
+    X, pk = _packed_inputs(xs, lengths)
+    by_length = np.hstack([rnn_final(p.fwd, X[pk.fwd], pk.batch_sizes),
+                           rnn_final(p.bwd, X[pk.bwd], pk.batch_sizes)])
+    return _in_own_order(pk, by_length)
 
 
 def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):

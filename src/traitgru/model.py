@@ -36,11 +36,20 @@ A level below the top packs all tokens of one tweet into one pass: the
 tokens are sorted by length, longest first and stable among equal
 lengths, and step t advances only the tokens longer than t, without
 padding, as one matrix product per direction (the stacked, batched cell
-follows Appleyard et al. 2016).  Packing stops at the tweet boundary on
-purpose: packing a whole mini-batch would keep the traces of all its
-tweets alive at once (47 MB for 32 tweets of 64 characters on average
-at paper dimensions), while one tweet's traces are freed as soon as its
-gradients are added.
+follows Appleyard et al. 2016).  In training, packing stops at the tweet
+boundary on purpose: packing a whole mini-batch would keep the traces of
+all its tweets alive at once (47 MB for 32 tweets of 64 characters on
+average at paper dimensions), while one tweet's traces are freed as soon
+as its gradients are added.
+
+Scoring without gradients (Regressor.score_many, behind predict,
+visualize, cross-validation's held-out folds and the per-epoch
+validation) keeps no traces, so it packs across tweets: each level runs
+over the sequences of a chunk of tweets at once, and the head is one
+product over their sentence vectors.  A chunk's size is bounded by
+SCORE_BUDGET_BYTES, the memory of the input projection that an unroll
+takes before its time loop.  score and embedding stay the traced
+one-tweet pass, which the gradient checker probes.
 """
 
 import math
@@ -52,8 +61,12 @@ import numpy as np
 
 from .data import CharVocab, WordVocab
 from .gru import (TENSOR_NAMES, BiRnnParams, BiRnnTrace, GruParams, birnn_backward,
-                  birnn_forward, birnn_output, require_finite)
+                  birnn_final, birnn_forward, birnn_output, require_finite)
 from .rng import SplitMix64
+
+# Bytes that the input projection X W^T of one unroll, hoisted out of its
+# time loop, may take when score_many packs several tweets into one pass.
+SCORE_BUDGET_BYTES = 4 << 20
 
 
 class ModelKind(str, Enum):
@@ -210,6 +223,15 @@ def head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
     if not math.isfinite(y):
         raise FloatingPointError("mlp head produced a non-finite score")
     return HeadTrace(x_fed=x, pre_relu=pre, h_s=h_s, y=y)
+
+
+def head_scores(head: MlpHead, E: np.ndarray) -> np.ndarray:
+    """head_forward's score for each row of E, one product per layer."""
+    pre = require_finite("mlp head", E @ head.w_eh.T) + head.b_h
+    y = np.maximum(pre, 0.0) @ head.w_hy[0] + head.b_y[0]
+    if not np.isfinite(y).all():
+        raise FloatingPointError("mlp head produced a non-finite score")
+    return y
 
 
 def _head_backward(head: MlpHead, tr: HeadTrace, d_y: float, grads: dict) -> np.ndarray:
@@ -383,6 +405,40 @@ class Regressor:
             _add_grads(grads, prefix, g)
         np.add.at(grads[params.spec.table].T, trace.ids, d_x)
         return grads
+
+    def score_many(self, tweets):
+        """(scores, sentence vectors) of many tweets, in their order: the
+        walk of forward without dropout and without traces.
+
+        Consecutive tweets are scored together in chunks whose lowest
+        level's input projection fits SCORE_BUDGET_BYTES (a tweet over it
+        runs alone).  Each level runs packed over all sequences of a
+        chunk: the lower levels over the tokens of its tweets, the top
+        level over its tweets; the head is one product over their
+        sentence vectors.  Scores agree with score's to rounding (the
+        matrix products block other row counts), not bit for bit.
+        """
+        params = self.params
+        units = [self.unit_ids(tw) for tw in tweets]
+        row_bytes = 24 * max(rnn.hidden_size for rnn in params.levels)  # 3h float64s
+        cost = [len(ids) * row_bytes for ids, _ in units]
+        E = np.empty((len(units), 2 * params.levels[-1].hidden_size))
+        lo = 0
+        while lo < len(units):
+            hi, size = lo + 1, cost[lo]
+            while hi < len(units) and size + cost[hi] <= SCORE_BUDGET_BYTES:
+                size += cost[hi]
+                hi += 1
+            chunk = units[lo:hi]
+            x = params.table.T[np.concatenate([ids for ids, _ in chunk])]
+            if len(params.levels) > 1:
+                lengths = [n for _, ls in chunk for n in ls]
+                for rnn in params.levels[:-1]:
+                    x = birnn_final(rnn, x, lengths)
+            rows = [len(ids) if ls is None else len(ls) for ids, ls in chunk]
+            E[lo:hi] = birnn_final(params.levels[-1], x, rows)
+            lo = hi
+        return head_scores(params.head, E), E
 
     def score(self, tweet) -> float:
         return self.forward(tweet)[0]

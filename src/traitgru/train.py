@@ -11,7 +11,9 @@ model packs the words of that tweet into one character pass (see
 model.py) but never packs several tweets, so the reduction order above
 is unchanged.  The dropout stream is consumed per example in that
 ascending order: the character level draws nothing, then the word masks
-in token order, then the sentence mask.
+in token order, then the sentence mask.  The per-epoch validation pass
+computes no gradients and scores the held-out tweets packed together
+(Regressor.score_many).
 """
 
 import math
@@ -256,7 +258,8 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     skips that inference pass).  The vocabulary is always built from the
     training records only.  on_epoch(report) fires as each epoch ends,
     e.g. to stream the epoch CSV.  A training step's FloatingPointError is
-    raised again naming the trait, epoch, batch and index in tweets.
+    raised again naming the trait, epoch, batch and index in tweets; the
+    validation pass's naming the trait, the epoch and validation.
     """
     kind = ModelKind(kind)
     spec_of(kind)  # rejects a kind that has no row in the spec table
@@ -310,7 +313,10 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
             adam_step(tensors, grads, adam, cfg)
         val_rmse = None
         if val_tweets and validate:
-            preds = [reg.score(tw) for tw in val_tweets]
+            try:
+                preds = reg.score_many(val_tweets)[0]
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{e} (trait {trait}, epoch {epoch}, validation)") from e
             val_rmse = float(np.sqrt(mse_loss(preds, val_ys)))
         report = EpochReport(epoch=epoch, loss=sq_sum / n, val_rmse=val_rmse,
                              seconds=time.perf_counter() - started)

@@ -168,6 +168,18 @@ class TestRunCv:
         rep = run_cv(ModelKind.C2W2S4PT, tweets, "ext", 4, "tweet", cfg, seed=1)
         assert len(rep.fold_rmse) == 4 and rep.pooled_rmse > 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_held_out_scoring_names_the_fold(self):
+        # One batch per fold: the only step moves every weight by about the
+        # learning rate, so the held-out fold's scores overflow.
+        tweets = self.fixture(n_users=4, per_user=4)
+        cfg = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2, epochs=1,
+                          dropout_rate=0.0, batch_size=len(tweets), learning_rate=1e300)
+        with pytest.raises(FloatingPointError) as info:
+            run_cv(ModelKind.C2W2S4PT, tweets, "ext", 4, "tweet", cfg, seed=1)
+        assert str(info.value).endswith("(trait ext, fold 0, held-out scoring)")
+        assert "non-finite" in str(info.value)
+
     def test_unknown_trait_rejected(self):
         with pytest.raises(ValueError):
             run_cv(ModelKind.AVERAGE, self.fixture(), "charm", 5, "tweet", seed=0)

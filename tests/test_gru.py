@@ -5,7 +5,7 @@ import pytest
 
 from traitgru.gru import (BiRnnParams, GruCellTrace, GruParams, birnn_backward,
                           birnn_forward, birnn_output, gru_backward, gru_forward,
-                          rnn_backward, rnn_unroll)
+                          rnn_backward, rnn_unroll, sigmoid)
 from traitgru.rng import SplitMix64
 
 # Frozen against an arbitrary-precision evaluation of the cell equations
@@ -339,3 +339,32 @@ def test_birnn_backward_matches_finite_differences():
             x[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
         assert max_rel_err(d_xs[t], fd) < 1e-4
+
+
+class TestActivations:
+    def test_sigmoid_symmetry_point(self):
+        assert sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_sigmoid_of_one(self):
+        np.testing.assert_allclose(sigmoid(np.array([1.0]))[0],
+                                   0.7310585786, atol=1e-9)
+
+    def test_tanh_relu_trivia(self):
+        assert np.tanh(np.array([0.0]))[0] == 0.0
+        assert np.maximum(np.array([-1.0]), 0.0)[0] == 0.0
+        assert np.maximum(np.array([2.0]), 0.0)[0] == 2.0
+
+    def test_ranges_on_fuzzed_inputs(self):
+        # float64 saturates sigmoid past |x|~36 and tanh past |x|~19;
+        # strict bounds are tested on the representable range
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-30, 30, size=10_000)
+        s = sigmoid(x)
+        t = np.tanh(np.clip(x, -18.0, 18.0))
+        assert np.all((s > 0) & (s < 1))
+        assert np.all((t > -1) & (t < 1))
+        assert np.all(np.maximum(x, 0.0) >= 0)
+
+    def test_sigmoid_extreme_inputs_no_overflow(self):
+        out = sigmoid(np.array([-1000.0, 1000.0]))
+        assert out[0] == 0.0 and out[1] == 1.0  # saturates, never NaN/Inf

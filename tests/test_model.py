@@ -428,3 +428,20 @@ class TestDropoutPlumbing:
                 worst = max(worst, abs(analytic[i] - numeric)
                             / max(abs(analytic[i]), abs(numeric), 1e-8))
         assert worst < 1e-4
+
+
+class TestMatvec:
+    def test_nonfinite_result_aborts(self):
+        # The head's w_eh @ x overflows; the check stops it before the score.
+        head = MlpHead(w_eh=np.full((1, 2), 1e308), b_h=np.zeros(1),
+                       w_hy=np.ones((1, 1)), b_y=np.zeros(1))
+        with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="mlp head"):
+            head_forward(head, np.array([1e308, 1e308]))
+
+    def test_nonfinite_score_aborts(self):
+        # w_eh @ x is finite, and the output layer's product overflows.
+        head = MlpHead(w_eh=np.full((2, 1), 1e308), b_h=np.zeros(2),
+                       w_hy=np.full((1, 2), 10.0), b_y=np.zeros(1))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                       match="mlp head .* non-finite score"):
+            head_forward(head, np.array([1.0]))

@@ -3,7 +3,7 @@ import pytest
 
 from traitgru import train as T
 from traitgru.data import build_tweets, generate_fixture
-from traitgru.model import DropoutPlan, ModelKind
+from traitgru.model import TRAINABLE_KINDS, DropoutPlan, ModelKind
 from traitgru.rng import SplitMix64
 from traitgru.train import (AdamState, TrainConfig, adam_step, check_gradients,
                             config_fingerprint, default_config,
@@ -224,6 +224,21 @@ class TestTrainLoop:
         assert str(info.value).endswith("(trait ext, epoch 1, batch 2, training tweet 7)")
         assert "non-finite" in str(info.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+    def test_non_finite_validation_names_trait_epoch_and_validation(self, kind):
+        # One batch per epoch: the only step moves every weight by about
+        # the learning rate, so the held-out fold's scores overflow.
+        from traitgru.data import kfold_split
+
+        tweets = fixture_tweets()
+        plan = kfold_split(tweets, 4, "tweet", seed=7)
+        cfg = tiny_cfg(learning_rate=1e300, batch_size=len(tweets), epochs=1)
+        with pytest.raises(FloatingPointError) as info:
+            train(kind, tweets, "ext", cfg, fold_plan=plan, fold_index=0)
+        assert str(info.value).endswith("(trait ext, epoch 1, validation)")
+        assert "non-finite" in str(info.value)
+
     def test_word_baseline_trains(self):
         tweets = fixture_tweets(n_users=3, per_user=4)
         ckpt, reports = train(ModelKind.BI_GRU_WORD, tweets, "ext", tiny_cfg(epochs=2))
@@ -269,6 +284,39 @@ def test_clip_gradients():
     assert norm == pytest.approx(5.0)
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert total == pytest.approx(1.0)
+
+
+def test_clipping_then_two_adam_steps_match_a_hand_computed_update():
+    cfg = TrainConfig(learning_rate=0.1, beta1=0.5, beta2=0.75, epsilon=0.01)
+    tensors = {"a": np.array([1.0, -2.0]), "b": np.array([0.5])}
+    state = AdamState.for_tensors(tensors)
+    # Step 1: the norm of (3, -4, 12) is 13, clipped to 6.5, so g = (1.5, -2, 6).
+    grads = {"a": np.array([3.0, -4.0]), "b": np.array([12.0])}
+    assert T.clip_gradients(grads, clip_norm=6.5) == pytest.approx(13.0)
+    np.testing.assert_allclose(grads["a"], [1.5, -2.0], rtol=1e-15)
+    np.testing.assert_allclose(grads["b"], [6.0], rtol=1e-15)
+    adam_step(tensors, grads, state, cfg)
+    # m = 0.5 g, v = 0.25 g^2; corrected by 1 - 0.5 and 1 - 0.75, the step
+    # is lr * g / (|g| + eps).
+    np.testing.assert_allclose(tensors["a"], [1.0 - 0.1 * 1.5 / 1.51, -2.0 + 0.1 * 2.0 / 2.01],
+                               rtol=1e-14)
+    np.testing.assert_allclose(tensors["b"], [0.5 - 0.1 * 6.0 / 6.01], rtol=1e-14)
+    # Step 2: the norm of (1, 0, 0) is 1, under the bound, so g is unchanged.
+    grads = {"a": np.array([1.0, 0.0]), "b": np.array([0.0])}
+    assert T.clip_gradients(grads, clip_norm=6.5) == 1.0
+    np.testing.assert_array_equal(grads["a"], [1.0, 0.0])
+    before = {k: v.copy() for k, v in tensors.items()}
+    adam_step(tensors, grads, state, cfg)
+    # m2 = 0.5 m1 + 0.5 g2 and v2 = 0.75 v1 + 0.25 g2^2, bias-corrected by
+    # 1 - 0.5^2 = 0.75 and 1 - 0.75^2 = 0.4375: (m2, v2) is (0.875, 0.671875)
+    # for a[0], (-0.5, 0.75) for a[1] and (1.5, 6.75) for b.
+    def step(m2, v2):
+        return -0.1 * (m2 / 0.75) / (np.sqrt(v2 / 0.4375) + 0.01)
+
+    np.testing.assert_allclose(tensors["a"] - before["a"],
+                               [step(0.875, 0.671875), step(-0.5, 0.75)], rtol=1e-13)
+    np.testing.assert_allclose(tensors["b"] - before["b"], [step(1.5, 6.75)], rtol=1e-13)
+    assert state.t == 2
 
 
 def test_shuffle_stream_independent_of_dropout():
