@@ -5,6 +5,7 @@ that takes --seed is bit-reproducible; nothing seeds from the clock.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -29,8 +30,15 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _positive_float(value: str) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {value}")
+    return x
+
+
 def _load_config(args) -> train_mod.TrainConfig:
-    cfg = train_mod.load_config(args.config) if args.config else train_mod.default_config()
+    cfg = train_mod.load_config(args.config) if args.config else train_mod.TrainConfig()
     if getattr(args, "seed", None) is not None:
         from dataclasses import replace
 
@@ -115,7 +123,7 @@ def cmd_visualize(args) -> int:
                                         tail=args.tail)
     chosen = [(i, "LOW") for i in low] + [(i, "HIGH") for i in high]
     embeddings = reg.score_many([tweets[i] for i, _ in chosen])[1]
-    pca = viz_mod.pca_fit(embeddings, n_components=2)
+    pca = viz_mod.pca_fit(embeddings)
     if pca.zero_variance:
         print(f"warning: components {pca.zero_variance} carry no variance", file=sys.stderr)
     points = []
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient oracle")
     p.add_argument("--model-kind", default=ModelKind.C2W2S4PT.value, choices=MODEL_CHOICES)
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=_positive_float, default=1e-5)
     p.add_argument("--seed", type=int, default=20240)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -225,7 +233,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError, ckpt_mod.CheckpointError,
-            FloatingPointError) as e:
+            ArithmeticError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 

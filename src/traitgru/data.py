@@ -258,12 +258,11 @@ def parse_record_line(line: str) -> RawRecord:
     return RawRecord(user_id=user_id, text=text, traits=TraitScores(*scores))
 
 
-def load_dataset(path, strict: bool = False):
+def load_dataset(path):
     """Parse a TSV dataset; returns (records, LoadReport).
 
-    Malformed lines are counted and reported with their line numbers
-    (or raised immediately when strict=True).  Invalid UTF-8 is always a
-    hard error naming the byte offset.
+    Malformed lines are counted and reported with their line numbers.
+    Invalid UTF-8 is a hard error naming the byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -278,8 +277,6 @@ def load_dataset(path, strict: bool = False):
             records.append(parse_record_line(line))
             report.parsed += 1
         except ValueError as e:
-            if strict:
-                raise ValueError(f"{path}:{line_no}: {e}") from None
             report.rejected.append((line_no, str(e)))
     return records, report
 
@@ -308,9 +305,9 @@ def build_tweets(records, report: LoadReport = None):
     return tweets, dropped
 
 
-def load_tweets(path, strict: bool = False):
+def load_tweets(path):
     """load_dataset + build_tweets with a merged report."""
-    records, report = load_dataset(path, strict=strict)
+    records, report = load_dataset(path)
     tweets, _ = build_tweets(records, report)
     return tweets, report
 

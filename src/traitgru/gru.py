@@ -158,23 +158,6 @@ class GruCellTrace:
 
 
 @dataclass
-class GruGrads:
-    """Gradients of one cell step: nine parameter tensors plus inputs."""
-
-    d_w_z: np.ndarray
-    d_w_r: np.ndarray
-    d_w_h: np.ndarray
-    d_u_z: np.ndarray
-    d_u_r: np.ndarray
-    d_u_h: np.ndarray
-    d_b_z: np.ndarray
-    d_b_r: np.ndarray
-    d_b_h: np.ndarray
-    d_x: np.ndarray
-    d_h_prev: np.ndarray
-
-
-@dataclass
 class BiRnnParams:
     """Forward- and backward-direction parameter sets (shapes must match)."""
 
@@ -285,10 +268,14 @@ def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
                         hu=hu.copy())
 
 
-def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruGrads:
+def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray):
     """Exact gradients of one step of one sequence, (h,) vectors, given the
     upstream gradient on h_new; the step-by-step reference for
-    rnn_backward, applied to one row of a packed trace."""
+    rnn_backward, applied to one row of a packed trace.
+
+    Returns (param gradient dict keyed like GruParams.tensors(), gradient
+    w.r.t. x, gradient w.r.t. h_prev), the triple rnn_backward returns.
+    """
     if d_h_new.shape != trace.h_new.shape:
         raise ValueError(f"d_h_new shape {d_h_new.shape} != {trace.h_new.shape}")
     t = trace
@@ -301,21 +288,10 @@ def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray) -> GruG
     d_a_r = d_r * t.r * (1.0 - t.r)
     d_x = p.w_z.T @ d_a_z + p.w_r.T @ d_a_r + p.w_h.T @ d_a_h
     d_h_prev = d_h_new * t.z + p.u_z.T @ d_a_z + p.u_r.T @ d_a_r + p.u_h.T @ d_hu
-    x_row = t.x[None, :]
-    h_row = t.h_prev[None, :]
-    return GruGrads(
-        d_w_z=d_a_z[:, None] * x_row,
-        d_w_r=d_a_r[:, None] * x_row,
-        d_w_h=d_a_h[:, None] * x_row,
-        d_u_z=d_a_z[:, None] * h_row,
-        d_u_r=d_a_r[:, None] * h_row,
-        d_u_h=d_hu[:, None] * h_row,
-        d_b_z=d_a_z,
-        d_b_r=d_a_r,
-        d_b_h=d_a_h,
-        d_x=d_x,
-        d_h_prev=d_h_prev,
-    )
+    blocks = [np.outer(a, t.x) for a in (d_a_z, d_a_r, d_a_h)]
+    blocks += [np.outer(a, t.h_prev) for a in (d_a_z, d_a_r, d_hu)]
+    blocks += [d_a_z, d_a_r, d_a_h]
+    return dict(zip(TENSOR_NAMES, blocks)), d_x, d_h_prev
 
 
 def _projected(p: GruParams, xs, batch_sizes):

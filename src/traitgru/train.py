@@ -78,10 +78,6 @@ _BOOL_FIELDS = {"dropout_words", "dropout_sentence", "clamp_outputs"}
 _INT_FIELDS = {"batch_size", "epochs", "seed", "char_dim", "hidden_size", "mlp_dim", "word_dim"}
 
 
-def default_config() -> TrainConfig:
-    return TrainConfig()
-
-
 def parse_config_text(text: str) -> TrainConfig:
     """key = value lines; '#' comments and blank lines allowed; unknown keys fail."""
     known = {f.name for f in fields(TrainConfig)}

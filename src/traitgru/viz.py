@@ -1,11 +1,11 @@
 """PCA projection of sentence embeddings and scatter export (CSV / SVG).
 
-The principal components come from iterated power method with deflation
-on the sample covariance (1/(N-1) estimator); each eigenvector's sign is
-normalized so its largest-magnitude entry is positive.  The projection
-workflow picks tweets from the two tails of a trait's user-score
-distribution, embeds them with a trained model, and writes a 2-D
-scatter.
+The two principal components come from one thin SVD of the centred
+embeddings, with variances on the sample-covariance (1/(N-1)) scale;
+each component's sign is normalized so its largest-magnitude entry is
+positive.  The projection workflow picks tweets from the two tails of a
+trait's user-score distribution, embeds them with a trained model, and
+writes a 2-D scatter.
 """
 
 import math
@@ -15,14 +15,11 @@ import numpy as np
 
 from .rng import SplitMix64
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
-
 
 @dataclass
 class PcaModel:
     mean: np.ndarray
-    components: np.ndarray        # n_components x d, rows orthonormal
+    components: np.ndarray        # 2 x d, rows orthonormal
     explained_variance: np.ndarray
     zero_variance: tuple = ()     # indices of components with no variance left
 
@@ -45,85 +42,28 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 
-def _orthogonalize(v: np.ndarray, basis: list) -> np.ndarray:
-    for b in basis:
-        v = v - (v @ b) * b
-    return v
+def pca_fit(embeddings) -> PcaModel:
+    """Top two principal components of the sample, ordered by variance.
 
-
-def _power_iteration(c: np.ndarray, rng: SplitMix64, basis: list):
-    """Dominant eigenpair of a symmetric PSD matrix; residual-based stop.
-
-    Each iterate is re-orthogonalized against previously extracted
-    components so deflation residue cannot leak back in.
-    """
-    d = c.shape[0]
-    v = _orthogonalize(rng.uniforms(d, -1.0, 1.0), basis)
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        v = _orthonormal_completion(basis, d)
-    else:
-        v = v / norm
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = _orthogonalize(c @ v, basis)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0, None  # matrix numerically zero along every direction tried
-        v_new = w / norm
-        lam = float(v_new @ (c @ v_new))
-        if np.linalg.norm(c @ v_new - lam * v_new) <= _POWER_TOL * max(1.0, abs(lam)):
-            return lam, v_new
-        v = v_new
-    return lam, v
-
-
-def _orthonormal_completion(components: list, d: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the components found so far."""
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        for c in components:
-            v -= (v @ c) * c
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return v / norm
-    raise ValueError("cannot complete an orthonormal basis")
-
-
-def pca_fit(embeddings, n_components: int = 2) -> PcaModel:
-    """Top principal components of the sample, ordered by variance.
-
-    Rank deficiency is not fatal: components beyond the data's rank get
-    zero explained variance and a deterministic orthonormal filler
-    direction; their indices are recorded in zero_variance.
+    One thin SVD of the centred rows: the components are the first two
+    right singular vectors and the variances s**2 / (n - 1).  Rank
+    deficiency is not fatal: a component with variance at or below
+    1e-10 is reported with variance 0.0 and its index is recorded in
+    zero_variance; its direction is still orthonormal to the others.
     """
     x = np.asarray(list(embeddings), dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("pca_fit needs at least two embedding vectors")
     n, d = x.shape
-    if d < n_components:
-        raise ValueError(f"dimension {d} < n_components {n_components}")
+    if d < 2:
+        raise ValueError(f"pca_fit needs dimension >= 2, got {d}")
     mean = x.mean(axis=0)
-    xc = x - mean
-    cov = (xc.T @ xc) / (n - 1)
-    rng = SplitMix64(0x9C0FFEE).derive("pca-start")
-    comps = []
-    variances = []
-    degenerate = []
-    for j in range(n_components):
-        lam, v = _power_iteration(cov, rng.derive(f"component{j}"), comps)
-        if v is None or lam <= _POWER_TOL:
-            v = _orthonormal_completion(comps, d)
-            lam = 0.0
-            degenerate.append(j)
-        v = _fix_sign(v)
-        comps.append(v)
-        variances.append(lam)
-        cov = cov - lam * np.outer(v, v)
-    return PcaModel(mean=mean, components=np.vstack(comps),
-                    explained_variance=np.asarray(variances),
-                    zero_variance=tuple(degenerate))
+    _, s, vt = np.linalg.svd(x - mean, full_matrices=False)
+    variances = s[:2] ** 2 / (n - 1)
+    zero = tuple(j for j in range(2) if variances[j] <= 1e-10)
+    variances[list(zero)] = 0.0
+    return PcaModel(mean=mean, components=np.vstack([_fix_sign(v) for v in vt[:2]]),
+                    explained_variance=variances, zero_variance=zero)
 
 
 def pca_project(pca: PcaModel, v: np.ndarray) -> tuple:

@@ -267,6 +267,20 @@ def test_gradcheck_exit_codes(capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf"])
+def test_gradcheck_rejects_a_non_positive_or_non_finite_eps(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--trials", "1", f"--eps={eps}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--eps" in err and "usage:" in err and "Traceback" not in err
+
+
+def test_gradcheck_exits_1_when_a_huge_eps_overflows(capsys):
+    assert main(["gradcheck", "--trials", "1", "--eps", "1e300"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_load_report_json(workspace, tmp_path):
     _, _, data_path = workspace
     report_path = tmp_path / "load.json"

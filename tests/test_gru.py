@@ -108,21 +108,18 @@ class TestBackward:
         rng = SplitMix64(5)
         p = random_params(rng, 3, 2)
         tr = gru_forward(p, rng.uniforms(3, -1, 1), rng.uniforms(2, -0.5, 0.5))
-        g = gru_backward(p, tr, np.zeros(2))
-        for name in ("d_w_z", "d_u_h", "d_b_r", "d_x", "d_h_prev"):
-            np.testing.assert_array_equal(getattr(g, name), np.zeros_like(getattr(g, name)))
+        grads, d_x, d_h_prev = gru_backward(p, tr, np.zeros(2))
+        for g in (grads["w_z"], grads["u_h"], grads["b_r"], d_x, d_h_prev):
+            np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_scalar_case_matches_finite_differences(self):
         p = scalar_params()
         x, h_prev = np.array([1.0]), np.array([0.0])
         d = np.array([1.0])
         tr = gru_forward(p, x, h_prev)
-        g = gru_backward(p, tr, d)
+        grads, d_x, d_h_prev = gru_backward(p, tr, d)
         fd = finite_difference_cell(p, x, h_prev, d)
-        analytic = {"w_z": g.d_w_z, "w_r": g.d_w_r, "w_h": g.d_w_h,
-                    "u_z": g.d_u_z, "u_r": g.d_u_r, "u_h": g.d_u_h,
-                    "b_z": g.d_b_z, "b_r": g.d_b_r, "b_h": g.d_b_h,
-                    "x": g.d_x, "h_prev": g.d_h_prev}
+        analytic = dict(grads, x=d_x, h_prev=d_h_prev)
         for name, a in analytic.items():
             assert max_rel_err(a, fd[name]) < 1e-6, name
 
@@ -133,12 +130,12 @@ class TestBackward:
         h_prev = rng.uniforms(3, -0.9, 0.9)
         d = rng.uniforms(3, -1, 1)
         tr = gru_forward(p, x, h_prev)
-        g = gru_backward(p, tr, d)
+        grads, d_x, d_h_prev = gru_backward(p, tr, d)
         fd = finite_difference_cell(p, x, h_prev, d)
-        assert max_rel_err(g.d_w_h, fd["w_h"]) < 1e-4
-        assert max_rel_err(g.d_u_h, fd["u_h"]) < 1e-4
-        assert max_rel_err(g.d_x, fd["x"]) < 1e-4
-        assert max_rel_err(g.d_h_prev, fd["h_prev"]) < 1e-4
+        assert max_rel_err(grads["w_h"], fd["w_h"]) < 1e-4
+        assert max_rel_err(grads["u_h"], fd["u_h"]) < 1e-4
+        assert max_rel_err(d_x, fd["x"]) < 1e-4
+        assert max_rel_err(d_h_prev, fd["h_prev"]) < 1e-4
 
 
 class TestUnroll:
@@ -295,11 +292,9 @@ def test_rnn_backward_equals_stepwise_cell_backward():
         d_h = d_last
         ref_d_xs = [None] * len(traces)
         for t in range(len(traces) - 1, -1, -1):
-            g = gru_backward(p, row(traces[t]), d_h)
+            g, ref_d_xs[t], d_h = gru_backward(p, row(traces[t]), d_h)
             for name in ref:
-                ref[name] += getattr(g, "d_" + name)
-            ref_d_xs[t] = g.d_x
-            d_h = g.d_h_prev
+                ref[name] += g[name]
         for name in ref:
             np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-14)
         for a, b in zip(d_xs, ref_d_xs):

@@ -5,13 +5,16 @@ refactor that renames or drops one of them breaks every traced run.
 """
 
 import importlib
+import io
 from pathlib import Path
 
 import pytest
 
+from traitgru import cli
 from traitgru.data import TraitScores, Tweet
 from traitgru.model import TRAINABLE_KINDS, Regressor
-from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims
+from traitgru.train import (TrainConfig, build_vocab_for, format_config, init_params,
+                            model_dims)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +62,30 @@ def test_install_patches_every_target_and_uninstall_restores(spans):
                  "model.flat_backward", "model.zero_grads", "gru.gru_forward",
                  "gru.rnn_unroll", "gru.rnn_backward", "gru.birnn_backward"):
         assert calls[name]["calls"] >= len(TRAINABLE_KINDS), name
+
+
+def test_scoring_commands_run_through_the_traced_names(spans, tmp_path, monkeypatch, capsys):
+    # The spans a traced score-paper run books its time to.
+    data_path, cfg_path, model = tmp_path / "d.tsv", tmp_path / "t.cfg", tmp_path / "m.ckpt"
+    cfg_path.write_text(format_config(TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2,
+                                                  epochs=1, seed=5)), encoding="utf-8")
+    assert cli.main(["fixture", "--users", "4", "--tweets-per-user", "3",
+                     "--seed", "3", "--out", str(data_path)]) == 0
+    assert cli.main(["train", "--data", str(data_path), "--trait", "ext",
+                     "--model", "c2w2s4pt", "--config", str(cfg_path),
+                     "--seed", "5", "--out", str(model)]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n\nsee you !!\n"))
+        assert cli.main(["predict", "--model", str(model), "--stdin"]) == 0
+        assert cli.main(["visualize", "--model", str(model), "--data", str(data_path),
+                         "--trait", "ext", "--n", "2", "--out", str(tmp_path / "s.csv"),
+                         "--format", "csv", "--seed", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.table(rounds=1)["spans"]
+    for name in ("cli.main", "checkpoint.load", "data.build_tweets",
+                 "viz.select_extremes", "viz.pca_fit", "viz.export_scatter"):
+        assert calls[name]["calls"] >= 1, name

@@ -6,9 +6,8 @@ from traitgru.data import build_tweets, generate_fixture
 from traitgru.model import TRAINABLE_KINDS, DropoutPlan, ModelKind
 from traitgru.rng import SplitMix64
 from traitgru.train import (AdamState, TrainConfig, adam_step, check_gradients,
-                            config_fingerprint, default_config,
-                            format_config, grad_check, init_params,
-                            parse_config_text, train)
+                            config_fingerprint, format_config, grad_check,
+                            init_params, parse_config_text, train)
 
 
 def fixture_tweets(n_users=4, per_user=5, seed=3, signal="exclamation"):
@@ -18,7 +17,7 @@ def fixture_tweets(n_users=4, per_user=5, seed=3, signal="exclamation"):
 
 class TestConfig:
     def test_defaults_match_reference_protocol(self):
-        cfg = default_config()
+        cfg = TrainConfig()
         assert (cfg.char_dim, cfg.hidden_size, cfg.mlp_dim) == (50, 256, 256)
         assert (cfg.dropout_rate, cfg.batch_size, cfg.epochs) == (0.5, 32, 100)
         assert (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon) == \

@@ -68,7 +68,22 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             pca_fit([np.zeros(3)])
         with pytest.raises(ValueError):
-            pca_fit([np.zeros(1), np.ones(1)], n_components=2)
+            pca_fit([np.zeros(1), np.ones(1)])
+
+    def test_close_top_variances_match_oracle_in_order(self):
+        # 32 rows in 512-d with variances 1, 1 - 1e-5 and 0.5 along
+        # orthonormal directions: the top two differ by 1e-5 only.
+        rng = np.random.default_rng(19)
+        dirs, _ = np.linalg.qr(rng.normal(size=(512, 3)))
+        coef = rng.normal(size=(32, 3))
+        coef, _ = np.linalg.qr(coef - coef.mean(axis=0))
+        coef *= np.sqrt(np.array([1.0, 1.0 - 1e-5, 0.5]) * 31)
+        x = coef @ dirs.T + rng.normal(size=512)
+        pca = pca_fit(x)
+        _, comps, var = dense_pca_oracle(x)
+        np.testing.assert_allclose(pca.components, comps, atol=1e-8)
+        np.testing.assert_allclose(pca.explained_variance, var, atol=1e-8)
+        assert pca.explained_variance[0] > pca.explained_variance[1]
 
 
 class TestPcaProject:
