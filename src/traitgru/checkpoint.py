@@ -15,28 +15,31 @@ Layout (all integers little-endian):
         u8        ndim, then u64 per dimension
         ...       row-major float64 little-endian payload
 
-save(load(path)) is byte-identical; any truncation or corruption raises
-CheckpointError.  load checks every length field against the bytes left
-in the file before it allocates anything: the header length, and the
-total tensor bytes the header's dims imply.  The vocabulary must be of
-the class the kind's spec names.  load then allocates the kind's zero
-bundle once and reads each tensor into its named view, so a tensor that
-is missing, unknown, repeated or of another shape than the dims give is
-an error, and every payload is bounded by that bundle.  A NaN or inf
-value, which training never writes, is an error too.
+load accepts the tensors in any order and returns them in the model's
+order, the order save writes a model's bundle in, so save(load(path)) is
+byte-identical for every file save writes from a trained or loaded
+model; any truncation or corruption raises CheckpointError.  load checks
+every length field against the bytes left in the file before it
+allocates anything: the header length, and the total tensor bytes the
+header's dims imply.  The vocabulary must be of the class the kind's
+spec names.  load then allocates the kind's zero bundle once and reads
+each tensor into its named view, so a tensor that is missing, unknown,
+repeated or of another shape than the dims give is an error, and every
+payload is bounded by that bundle.  A NaN or inf value, which training
+never writes, is an error too.  The filled bundle is Checkpoint.tensors,
+and to_regressor uses it as is, without a copy.
 """
 
 import json
 import math
 import os
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CharVocab, WordVocab
-from .model import ModelKind, Regressor, build_params, empty_params, spec_of, tensor_shapes
+from .model import ModelKind, ModelParams, Regressor, empty_params, spec_of, tensor_shapes
 
 MAGIC = b"TRAITCKP"
 FORMAT_VERSION = 1
@@ -52,11 +55,10 @@ class Checkpoint:
     dims: dict
     vocab: object  # CharVocab or WordVocab
     config: dict   # training config as plain key/value pairs
-    tensors: "OrderedDict[str, np.ndarray]"
+    tensors: ModelParams
 
     def to_regressor(self) -> Regressor:
-        return Regressor(kind=self.kind, params=build_params(self.kind, self.tensors),
-                         vocab=self.vocab)
+        return Regressor(self.kind, self.tensors, self.vocab)
 
 
 def _vocab_payload(vocab) -> dict:
@@ -154,22 +156,22 @@ def load(path) -> Checkpoint:
         if needed > left():
             raise CheckpointError(f"truncated checkpoint: the header dims need {needed} bytes "
                                   f"of tensors, but only {left()} bytes are left in the file")
-        views = empty_params(kind, dims).tensors()
+        tensors = empty_params(kind, dims)
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        tensors = OrderedDict()
+        seen = set()
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
             name = _read_exact(fh, name_len, "tensor name").decode("utf-8", errors="replace")
-            if name not in views:
+            if name not in tensors:
                 raise CheckpointError(f"unknown tensor {name!r} in a {kind.value} checkpoint")
-            if name in tensors:
+            if name in seen:
                 raise CheckpointError(f"tensor {name} appears twice")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8, f"shape of {name}"))[0]
                 for _ in range(ndim)
             )
-            view = views[name]
+            view = tensors[name]
             if shape != view.shape:
                 raise CheckpointError(f"tensor {name} has shape {shape}, but the header dims "
                                       f"give {view.shape}")
@@ -177,8 +179,8 @@ def load(path) -> Checkpoint:
             view[...] = np.frombuffer(payload, dtype="<f8").reshape(shape)
             if not np.isfinite(view).all():
                 raise CheckpointError(f"tensor {name} holds non-finite values")
-            tensors[name] = view
-        missing = [name for name in views if name not in tensors]
+            seen.add(name)
+        missing = [name for name in tensors if name not in seen]
         if missing:
             raise CheckpointError(f"checkpoint lacks tensor(s) {', '.join(missing)}")
         trailing = fh.read(1)

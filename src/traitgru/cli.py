@@ -23,18 +23,26 @@ ALL_MODEL_CHOICES = [k.value for k in ModelKind]
 GRADCHECK_THRESHOLD = 1e-4
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return n
+def _checked(convert, ok, expected: str):
+    """An argparse type: the converted value, a usage error unless ok(value)."""
+
+    def parse(value: str):
+        x = convert(value)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return x
+
+    parse.__name__ = convert.__name__  # argparse says "invalid int value" on a bad literal
+    return parse
 
 
-def _positive_float(value: str) -> float:
-    x = float(value)
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {value}")
-    return x
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_positive_float = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                           "a finite positive number")
+_non_negative_float = _checked(float, lambda x: math.isfinite(x) and x >= 0,
+                               "a finite non-negative number")
+_fold_count = _checked(int, lambda k: k >= 2, "at least 2 folds")
+_tail_quantile = _checked(float, lambda x: 0.0 < x <= 0.5, "a quantile in (0, 0.5]")
 
 
 def _load_config(args) -> train_mod.TrainConfig:
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model-kind", required=True, choices=ALL_MODEL_CHOICES)
     p.add_argument("--trait", required=True, choices=TRAIT_CHOICES + ["all"])
-    p.add_argument("--k", type=_positive_int, default=10,
+    p.add_argument("--k", type=_fold_count, default=10,
                    help="fold count (the reference protocol uses 5 or 10)")
     p.add_argument("--level", required=True, choices=["tweet", "user"])
     p.add_argument("--config", help="training config file")
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--trait", required=True, choices=TRAIT_CHOICES)
     p.add_argument("--n", type=_positive_int, default=50, help="tweets per tail")
-    p.add_argument("--tail", type=float, default=0.25, help="user-score tail quantile")
+    p.add_argument("--tail", type=_tail_quantile, default=0.25, help="user-score tail quantile")
     p.add_argument("--out", required=True)
     p.add_argument("--format", required=True, choices=["csv", "svg"])
     p.add_argument("--seed", type=int, default=0)
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=_positive_int, required=True)
     p.add_argument("--tweets-per-user", type=_positive_int, required=True)
     p.add_argument("--signal", default="exclamation", choices=list(data_mod.FIXTURE_SIGNALS))
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_non_negative_float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fixture)

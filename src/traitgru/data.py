@@ -21,6 +21,7 @@ The dataset format is a UTF-8 TSV, one record per line:
 with each score a decimal in [-0.5, 0.5].
 """
 
+import codecs
 import math
 import re
 import unicodedata
@@ -262,14 +263,16 @@ def load_dataset(path):
     """Parse a TSV dataset; returns (records, LoadReport).
 
     Malformed lines are counted and reported with their line numbers.
-    Invalid UTF-8 is a hard error naming the byte offset.
+    One leading UTF-8 byte order mark is skipped.  Invalid UTF-8 is a hard
+    error naming the byte offset in the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    skip = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        content = raw.decode("utf-8")
+        content = raw[skip:].decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
+        raise ValueError(f"{path}: invalid UTF-8 at byte offset {skip + e.start}") from None
     records = []
     report = LoadReport()
     for line_no, line in enumerate(content.splitlines(), start=1):
@@ -418,6 +421,8 @@ def generate_fixture(n_users: int, tweets_per_user: int, signal: str = "exclamat
         raise ValueError("n_users and tweets_per_user must be positive")
     if signal not in FIXTURE_SIGNALS:
         raise ValueError(f"unknown signal {signal!r}, expected one of {FIXTURE_SIGNALS}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be a finite non-negative number, got {noise}")
     rng = SplitMix64(seed).derive("fixture")
     records = []
     for u in range(n_users):

@@ -187,6 +187,11 @@ def report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table_cells(traits: dict, attr: str) -> str:
+    return " ".join(f"{getattr(traits[t], attr):>7.4f}" if t in traits else f"{'-':>7}"
+                    for t in TRAITS)
+
+
 def render_table(reports) -> str:
     """One row per model kind, one column per trait (pooled RMSE)."""
     by_kind = {}
@@ -196,14 +201,8 @@ def render_table(reports) -> str:
     lines = [header, "-" * len(header)]
     for kind_name, traits in by_kind.items():
         any_rep = next(iter(traits.values()))
-        cells = []
-        for t in TRAITS:
-            rep = traits.get(t)
-            cells.append(f"{rep.pooled_rmse:>7.4f}" if rep is not None else f"{'-':>7}")
-        lines.append(f"{kind_name:<12} {any_rep.k:>3} {any_rep.level:<6} " + " ".join(cells))
-        mean_cells = []
-        for t in TRAITS:
-            rep = traits.get(t)
-            mean_cells.append(f"{rep.fold_mean_rmse:>7.4f}" if rep is not None else f"{'-':>7}")
-        lines.append(f"{'  fold-mean':<12} {'':>3} {'':<6} " + " ".join(mean_cells))
+        lines.append(f"{kind_name:<12} {any_rep.k:>3} {any_rep.level:<6} "
+                     + _table_cells(traits, "pooled_rmse"))
+        lines.append(f"{'  fold-mean':<12} {'':>3} {'':<6} "
+                     + _table_cells(traits, "fold_mean_rmse"))
     return "\n".join(lines)

@@ -58,56 +58,20 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * v) + 1.0)
 
 
-def _stacked(parts) -> np.ndarray:
-    """The array whose consecutive row blocks the three parts are, used in
-    place; otherwise a new float64 stack of copies of them."""
-    first = parts[0]
-    base = first.base
-    n = len(first)
-    # Equal-shaped C-contiguous views of one buffer are the same memory
-    # when their first elements are.  (Reading addresses through
-    # __array_interface__ instead makes numpy allocate about 1 MB once,
-    # after some thousands of calls, which shows in peak RSS.)
-    if (isinstance(base, np.ndarray) and base.dtype == np.float64
-            and base.flags.c_contiguous and base.shape == (3 * n,) + first.shape[1:]
-            and all(part.base is base and part.flags.c_contiguous and part.shape == first.shape
-                    and np.shares_memory(part.reshape(-1)[:1],
-                                         base[i * n:i * n + 1].reshape(-1)[:1])
-                    for i, part in enumerate(parts))):
-        return base
-    return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
-
-
 class GruParams:
-    """One direction's weights: stacked W (3h x d), U (3h x h) and b (3h).
+    """One direction's weights: stacked W (3h x d), U (3h x h) and b (3h),
+    the gates in z, r, h order.
 
     w_z ... b_h are C-contiguous row-slice views of W, U and b, so every
     named tensor and its stacked array are the same memory: updating a
     named tensor in place updates the stack.
     """
 
-    def __init__(self, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
-        h, d = np.shape(w_z)
-        named = dict(zip(TENSOR_NAMES, (w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h)))
-        for name, arr in named.items():
-            want = {"w": (h, d), "u": (h, h), "b": (h,)}[name[0]]
-            if np.shape(arr) != want:
-                raise ValueError(f"{name} shape {np.shape(arr)} != {want}")
-        self._attach(_stacked((w_z, w_r, w_h)), _stacked((u_z, u_r, u_h)),
-                     _stacked((b_z, b_r, b_h)))
-
-    @classmethod
-    def from_stacked(cls, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> "GruParams":
+    def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray):
         h3, h = U.shape
         if h3 != 3 * h or W.ndim != 2 or W.shape[0] != h3 or b.shape != (h3,):
             raise ValueError(f"stacked shapes W {W.shape}, U {U.shape}, b {b.shape} "
                              f"are not (3h x d), (3h x h), (3h)")
-        p = cls.__new__(cls)
-        p._attach(W, U, b)
-        return p
-
-    def _attach(self, W, U, b) -> None:
-        h = U.shape[1]
         self.W, self.U, self.b = W, U, b
         self.w_z, self.w_r, self.w_h = W[:h], W[h:2 * h], W[2 * h:]
         self.u_z, self.u_r, self.u_h = U[:h], U[h:2 * h], U[2 * h:]
@@ -127,7 +91,7 @@ class GruParams:
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "GruParams":
         h, d = hidden_size, input_size
-        return cls.from_stacked(np.zeros((3 * h, d)), np.zeros((3 * h, h)), np.zeros(3 * h))
+        return cls(np.zeros((3 * h, d)), np.zeros((3 * h, h)), np.zeros(3 * h))
 
 
 class GateInput(NamedTuple):

@@ -23,8 +23,11 @@ that were looked up.
 The three kinds differ only in what SPECS holds for each: the embedding
 table and its width, the bi-GRU levels bottom-up, the vocabulary and
 where its units come from, and whether the top level's inputs take the
-word-site mask.  One ModelParams class holds any kind's tensors, in the
-order the spec gives, which is the checkpoint order.
+word-site mask.  One ModelParams class holds any kind's tensors and is
+itself their read-only mapping of name to tensor, in the order the spec
+gives, which is the checkpoint order.  checkpoint.load fills a zero
+bundle from empty_params in place and Checkpoint.to_regressor uses that
+bundle as is, so a loaded model is never rebuilt or copied.
 
 Inverted dropout can be applied at two sites during training: to each
 row entering the top level (the composed word vectors, or the word
@@ -54,6 +57,7 @@ one-tweet pass, which the gradient checker probes.
 
 import math
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -169,16 +173,22 @@ class HeadTrace:
 
 
 @dataclass
-class ModelParams:
+class ModelParams(Mapping):
     """All tensors of one trainable kind: the embedding table (width x
     vocabulary), one bi-GRU per level of the kind's spec, bottom-up, and
-    the head.  The shape chain is validated level by level."""
+    the head.  The shape chain is validated level by level.
+
+    The bundle is also the read-only mapping of tensor name to tensor, in
+    the order the spec gives, which is the checkpoint order; each GRU
+    direction's nine named tensors are views of its stacked W, U and b.
+    """
 
     kind: ModelKind
     table: np.ndarray
     levels: tuple  # BiRnnParams, one per spec level
     head: MlpHead
     spec: KindSpec = field(init=False, repr=False, compare=False)
+    _named: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.spec = spec = spec_of(self.kind)
@@ -193,14 +203,22 @@ class ModelParams:
             need, what = 2 * rnn.hidden_size, f"2 * {level} hidden {rnn.hidden_size}"
         if self.head.in_dim != need:
             raise ValueError(f"mlp input {self.head.in_dim} != {what}")
-
-    def tensors(self) -> "OrderedDict[str, np.ndarray]":
-        spec = self.spec
-        out = OrderedDict([(spec.table, self.table)])
+        self._named = {spec.table: self.table}
         for (prefix, _), rnn in zip(spec.levels, self.levels):
-            out.update(rnn.tensors(prefix))
-        out.update(self.head.tensors())
-        return out
+            self._named.update(rnn.tensors(prefix))
+        self._named.update(self.head.tensors())
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._named[name]
+
+    def __iter__(self):
+        return iter(self._named)
+
+    def __len__(self) -> int:
+        return len(self._named)
+
+    def tensors(self) -> "ModelParams":
+        return self
 
 
 @dataclass
@@ -244,8 +262,8 @@ def _head_backward(head: MlpHead, tr: HeadTrace, d_y: float, grads: dict) -> np.
     return head.w_eh.T @ d_pre
 
 
-def zero_grads(params) -> "OrderedDict[str, np.ndarray]":
-    return OrderedDict((k, np.zeros_like(v)) for k, v in params.tensors().items())
+def zero_grads(params: ModelParams) -> "OrderedDict[str, np.ndarray]":
+    return OrderedDict((k, np.zeros_like(v)) for k, v in params.items())
 
 
 def _add_grads(grads: dict, prefix: str, delta: dict) -> None:
@@ -294,15 +312,9 @@ def mse_loss(preds, truths) -> float:
 
 
 def _gru_shapes(prefix: str, d_in: int, h: int) -> list:
-    shapes = []
-    for direction in ("fwd", "bwd"):
-        for name in ("w_z", "w_r", "w_h"):
-            shapes.append((f"{prefix}{direction}.{name}", (h, d_in)))
-        for name in ("u_z", "u_r", "u_h"):
-            shapes.append((f"{prefix}{direction}.{name}", (h, h)))
-        for name in ("b_z", "b_r", "b_h"):
-            shapes.append((f"{prefix}{direction}.{name}", (h,)))
-    return shapes
+    shape = {"w": (h, d_in), "u": (h, h), "b": (h,)}
+    return [(f"{prefix}{direction}.{name}", shape[name[0]])
+            for direction in ("fwd", "bwd") for name in TENSOR_NAMES]
 
 
 def tensor_shapes(kind: ModelKind, dims: dict) -> list:
@@ -317,39 +329,21 @@ def tensor_shapes(kind: ModelKind, dims: dict) -> list:
     return shapes + [("w_eh", (m, width)), ("b_h", (m,)), ("w_hy", (1, m)), ("b_y", (1,))]
 
 
-def _gru_from(tensors: dict, prefix: str) -> GruParams:
-    return GruParams(**{name: tensors[prefix + name] for name in TENSOR_NAMES})
-
-
-def build_params(kind: ModelKind, tensors: dict) -> ModelParams:
-    """Assemble a parameter bundle from named tensors (checkpoint path).
-
-    GRU tensors that are the row blocks of one stacked array, as the
-    tensors() of every bundle are, are used in place; others are copied
-    into a new stack.
-    """
+def empty_params(kind: ModelKind, dims: dict) -> ModelParams:
+    """The kind's zero-filled bundle: its tensors are exactly the names and
+    shapes of tensor_shapes, in that order."""
     spec = spec_of(kind)
-    levels = tuple(BiRnnParams(_gru_from(tensors, prefix + "fwd."),
-                               _gru_from(tensors, prefix + "bwd."))
-                   for prefix, _ in spec.levels)
-    head = MlpHead(w_eh=tensors["w_eh"], b_h=tensors["b_h"],
-                   w_hy=tensors["w_hy"], b_y=tensors["b_y"])
-    return ModelParams(ModelKind(kind), tensors[spec.table], levels, head)
-
-
-def empty_params(kind: ModelKind, dims: dict):
-    """The kind's zero-filled bundle, allocated from tensor_shapes: its
-    tensors() are exactly those names and shapes, in that order, and each
-    GRU direction's nine are views of its stacked W, U and b."""
-    tensors = {}
-    for name, shape in tensor_shapes(kind, dims):
-        if name.endswith(".w_z"):
-            h, d = shape
-            prefix = name[:-len("w_z")]
-            tensors.update((prefix + k, v) for k, v in GruParams.zeros(d, h).tensors().items())
-        elif name not in tensors:
-            tensors[name] = np.zeros(shape)
-    return build_params(kind, tensors)
+    width = dims[spec.table_dim]
+    table = np.zeros((width, dims["vocab_size"]))
+    levels = []
+    for _, hidden_key in spec.levels:
+        h = dims[hidden_key]
+        levels.append(BiRnnParams(GruParams.zeros(width, h), GruParams.zeros(width, h)))
+        width = 2 * h
+    m = dims["mlp_dim"]
+    head = MlpHead(w_eh=np.zeros((m, width)), b_h=np.zeros(m), w_hy=np.zeros((1, m)),
+                   b_y=np.zeros(1))
+    return ModelParams(ModelKind(kind), table, tuple(levels), head)
 
 
 @dataclass
@@ -360,8 +354,8 @@ class Regressor:
     params: ModelParams
     vocab: object  # the spec's vocabulary class
 
-    def tensors(self) -> "OrderedDict[str, np.ndarray]":
-        return self.params.tensors()
+    def tensors(self) -> ModelParams:
+        return self.params
 
     def unit_ids(self, tweet):
         """(table columns to look up, lengths): for a kind with a level

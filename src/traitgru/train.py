@@ -192,7 +192,7 @@ def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
     rng = SplitMix64(seed).derive("init")
     params = empty_params(kind, dims)
     if scheme != "zeros":
-        for name, view in params.tensors().items():
+        for name, view in params.items():
             if not name.rsplit(".", 1)[-1].startswith("b_"):
                 view[...] = _init_values(name, view.shape, rng)
     return params
@@ -273,8 +273,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     dims = model_dims(kind, cfg, vocab)
     params = init_params(kind, dims, cfg.seed, cfg.init_scheme)
     reg = Regressor(kind=kind, params=params, vocab=vocab)
-    tensors = reg.tensors()
-    adam = AdamState.for_tensors(tensors)
+    adam = AdamState.for_tensors(params)
     shuffle_rng = SplitMix64(cfg.seed).derive("shuffle")
     dropout_rng = SplitMix64(cfg.seed).derive("dropout")
     ys = [tw.traits.get(trait) for tw in train_tweets]
@@ -306,7 +305,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
                 reg.backward(trace, 2.0 * err * inv, grads)
             if cfg.clip_norm is not None:
                 clip_gradients(grads, cfg.clip_norm)
-            adam_step(tensors, grads, adam, cfg)
+            adam_step(params, grads, adam, cfg)
         val_rmse = None
         if val_tweets and validate:
             try:
@@ -320,7 +319,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
         if on_epoch is not None:
             on_epoch(report)
     ckpt = Checkpoint(kind=kind, dims=dims, vocab=vocab,
-                      config=config_as_dict(cfg), tensors=tensors)
+                      config=config_as_dict(cfg), tensors=params)
     return ckpt, reports
 
 
@@ -335,12 +334,11 @@ def epoch_csv_row(r: EpochReport) -> str:
 _GRADCHECK_ALPHABET = "abcdefg"
 
 
-def _random_tiny_instance(kind: ModelKind, rng: SplitMix64, cfg_dims=None):
+def _random_tiny_instance(kind: ModelKind, rng: SplitMix64):
     """Random tiny regressor plus one input tweet for gradient checking."""
-    sizes = cfg_dims or {}
-    d_c = sizes.get("char_dim", (1, 2, 3, 5)[rng.below(4)])
-    h = sizes.get("hidden_size", (1, 2, 3, 5)[rng.below(4)])
-    m = sizes.get("mlp_dim", (1, 2, 3)[rng.below(3)])
+    d_c = (1, 2, 3, 5)[rng.below(4)]
+    h = (1, 2, 3, 5)[rng.below(4)]
+    m = (1, 2, 3)[rng.below(3)]
     n_words = 1 + rng.below(3)
     words = []
     for _ in range(n_words):
@@ -394,13 +392,13 @@ def check_gradients(reg: Regressor, tweet, y: float, eps: float = 1e-5,
 
 
 def grad_check(kind: ModelKind, n_trials: int = 20, eps: float = 1e-5,
-               seed: int = 20240, dims: dict = None) -> float:
+               seed: int = 20240) -> float:
     """Max relative error over n random tiny instances of the given kind."""
     kind = ModelKind(kind)
     spec_of(kind)
     rng = SplitMix64(seed).derive("gradcheck")
     worst = 0.0
     for _ in range(n_trials):
-        reg, tweet, y = _random_tiny_instance(kind, rng, dims)
+        reg, tweet, y = _random_tiny_instance(kind, rng)
         worst = max(worst, check_gradients(reg, tweet, y, eps))
     return worst

@@ -13,23 +13,43 @@ from traitgru.model import SPECS, ModelKind, empty_params, tensor_shapes
 from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims, train
 
 
+CFG = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2,
+                  epochs=2, dropout_rate=0.5, seed=7)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tweets, _ = build_tweets(generate_fixture(3, 4, seed=2))
-    cfg = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2,
-                      epochs=2, dropout_rate=0.5, seed=7)
-    ckpt, _ = train(ModelKind.C2W2S4PT, tweets, "ext", cfg)
+    ckpt, _ = train(ModelKind.C2W2S4PT, tweets, "ext", CFG)
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     C.save(ckpt, path)
     return ckpt, path, tweets
 
 
-def test_roundtrip_is_bitwise_idempotent(trained, tmp_path):
-    _, path, _ = trained
+@pytest.mark.parametrize("kind", list(SPECS), ids=lambda k: k.value)
+def test_roundtrip_is_bitwise_idempotent(kind, trained, tmp_path):
+    ckpt, _ = train(kind, trained[2], "ext", CFG)
+    assert ckpt.to_regressor().params is ckpt.tensors
+    path = tmp_path / "model.ckpt"
+    C.save(ckpt, path)
     loaded = C.load(path)
+    assert loaded.to_regressor().params is loaded.tensors
     again = tmp_path / "again.ckpt"
     C.save(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_tensors_in_any_order_load_into_the_model_order(trained, tmp_path):
+    ckpt, path, _ = trained
+    shuffled = tmp_path / "reversed.ckpt"
+    C.save(C.Checkpoint(kind=ckpt.kind, dims=ckpt.dims, vocab=ckpt.vocab, config=ckpt.config,
+                        tensors=OrderedDict(reversed(list(ckpt.tensors.items())))), shuffled)
+    assert shuffled.read_bytes() != path.read_bytes()
+    loaded = C.load(shuffled)
+    assert list(loaded.tensors) == list(ckpt.tensors)
+    again = tmp_path / "again.ckpt"
+    C.save(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_loaded_model_predicts_identically(trained):
@@ -103,10 +123,8 @@ def _expect_rejected(path, match, capsys):
 
 def test_same_seed_with_dropout_gives_identical_bytes(trained, tmp_path):
     _, path, tweets = trained
-    cfg = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2,
-                      epochs=2, dropout_rate=0.5, seed=7)
     again = tmp_path / "again.ckpt"
-    C.save(train(ModelKind.C2W2S4PT, tweets, "ext", cfg)[0], again)
+    C.save(train(ModelKind.C2W2S4PT, tweets, "ext", CFG)[0], again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -125,6 +143,7 @@ def test_loaded_tensors_are_views_of_the_stacks(trained):
 def test_missing_tensor_names_it(trained, tmp_path, capsys):
     _, path, _ = trained
     ckpt = C.load(path)
+    ckpt.tensors = OrderedDict(ckpt.tensors)
     del ckpt.tensors["b_y"]
     bad = tmp_path / "no_b_y.ckpt"
     C.save(ckpt, bad)
@@ -135,6 +154,7 @@ def test_missing_tensor_names_it(trained, tmp_path, capsys):
 def test_unknown_tensor_rejected(trained, tmp_path, capsys):
     _, path, _ = trained
     ckpt = C.load(path)
+    ckpt.tensors = OrderedDict(ckpt.tensors)
     ckpt.tensors["extra"] = np.zeros(2)
     bad = tmp_path / "extra.ckpt"
     C.save(ckpt, bad)

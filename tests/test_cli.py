@@ -276,6 +276,30 @@ def test_gradcheck_rejects_a_non_positive_or_non_finite_eps(capsys, eps):
     assert "--eps" in err and "usage:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("fixture", "--noise", "-1"), ("fixture", "--noise", "nan"), ("fixture", "--noise", "inf"),
+    ("eval", "--k", "1"), ("visualize", "--tail", "0.9"), ("visualize", "--tail", "0"),
+])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, command, option, value):
+    out = tmp_path / "out"
+    # The data and the model do not exist: the value is rejected before
+    # either is read.
+    rest = {
+        "fixture": ["--users", "2", "--tweets-per-user", "2", "--out", str(out)],
+        "eval": ["--data", str(tmp_path / "missing.tsv"), "--model-kind", "average",
+                 "--trait", "ext", "--level", "tweet"],
+        "visualize": ["--model", str(tmp_path / "missing.ckpt"),
+                      "--data", str(tmp_path / "missing.tsv"), "--trait", "ext",
+                      "--out", str(out), "--format", "csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *rest, f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "usage:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gradcheck_exits_1_when_a_huge_eps_overflows(capsys):
     assert main(["gradcheck", "--trials", "1", "--eps", "1e300"]) == 1
     assert capsys.readouterr().err.startswith("error:")

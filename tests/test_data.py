@@ -139,6 +139,25 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="byte offset 16"):
             load_dataset(path)
 
+    def test_leading_bom_is_skipped(self, tmp_path):
+        plain, with_bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        save_dataset(generate_fixture(3, 2, seed=4), plain)
+        # A rejected line too, so the report's line numbers are compared.
+        raw = plain.read_bytes() + b"u9\t0.1\n"
+        plain.write_bytes(raw)
+        with_bom.write_bytes(b"\xef\xbb\xbf" + raw)
+        records, report = load_dataset(with_bom)
+        assert records[0].user_id == "u001"
+        assert (records, report) == load_dataset(plain)
+        assert report.rejected and report.rejected[0][0] == 7
+        assert load_tweets(with_bom) == load_tweets(plain)
+
+    def test_invalid_utf8_after_a_bom_names_the_file_offset(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(ValueError, match="byte offset 5"):
+            load_dataset(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope.tsv")
@@ -220,6 +239,11 @@ class TestFixture:
         a = generate_fixture(5, 4, signal="marker", noise=0.0, seed=9)
         b = generate_fixture(5, 4, signal="marker", noise=0.0, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("noise", [-1.0, -1e-9, math.nan, math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            generate_fixture(2, 2, noise=noise)
 
     def test_length_signal(self):
         records = generate_fixture(6, 3, signal="length", seed=1)

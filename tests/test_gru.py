@@ -18,9 +18,7 @@ SCALAR_H2 = 0.34675308287491943
 
 def scalar_params(w: float = 1.0) -> GruParams:
     one = np.full((1, 1), w)
-    return GruParams(w_z=one.copy(), w_r=one.copy(), w_h=one.copy(),
-                     u_z=one.copy(), u_r=one.copy(), u_h=one.copy(),
-                     b_z=np.zeros(1), b_r=np.zeros(1), b_h=np.zeros(1))
+    return GruParams(np.vstack([one, one, one]), np.vstack([one, one, one]), np.zeros(3))
 
 
 def random_params(rng: SplitMix64, d_in: int, h: int, scale: float = None) -> GruParams:
@@ -29,10 +27,10 @@ def random_params(rng: SplitMix64, d_in: int, h: int, scale: float = None) -> Gr
     def m(rows, cols):
         return rng.uniforms(rows * cols, -s, s).reshape(rows, cols)
 
-    return GruParams(w_z=m(h, d_in), w_r=m(h, d_in), w_h=m(h, d_in),
-                     u_z=m(h, h), u_r=m(h, h), u_h=m(h, h),
-                     b_z=rng.uniforms(h, -s, s), b_r=rng.uniforms(h, -s, s),
-                     b_h=rng.uniforms(h, -s, s))
+    W = np.vstack([m(h, d_in), m(h, d_in), m(h, d_in)])
+    U = np.vstack([m(h, h), m(h, h), m(h, h)])
+    b = np.concatenate([rng.uniforms(h, -s, s), rng.uniforms(h, -s, s), rng.uniforms(h, -s, s)])
+    return GruParams(W, U, b)
 
 
 def unroll(p: GruParams, xs) -> list:

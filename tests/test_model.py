@@ -4,7 +4,7 @@ import pytest
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
 from traitgru.gru import BiRnnParams, GruParams, birnn_forward, birnn_output
 from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, ModelParams,
-                            Regressor, build_params, head_forward, mse_loss)
+                            Regressor, head_forward, mse_loss)
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
@@ -76,10 +76,8 @@ class TestComposeWord:
         w_b, u_b, b_b = (-0.6, 0.8, 0.4), (0.5, -0.2, 0.1), (0.0, 0.2, 0.3)
 
         def gp(w, u, b):
-            return GruParams(
-                w_z=np.array([[w[0]]]), w_r=np.array([[w[1]]]), w_h=np.array([[w[2]]]),
-                u_z=np.array([[u[0]]]), u_r=np.array([[u[1]]]), u_h=np.array([[u[2]]]),
-                b_z=np.array([b[0]]), b_r=np.array([b[1]]), b_h=np.array([b[2]]))
+            return GruParams(np.vstack([[w[0]], [w[1]], [w[2]]]),
+                             np.vstack([[u[0]], [u[1]], [u[2]]]), np.array(b, dtype=float))
 
         params = ModelParams(
             ModelKind.C2W2S4PT, e_c,
@@ -139,10 +137,8 @@ class TestEncodeSentence:
 
         def gp(spec, d):
             (w, u, b) = spec
-            return GruParams(
-                w_z=np.array([w[0]]), w_r=np.array([w[1]]), w_h=np.array([w[2]]),
-                u_z=np.array([[u[0]]]), u_r=np.array([[u[1]]]), u_h=np.array([[u[2]]]),
-                b_z=np.array([b[0]]), b_r=np.array([b[1]]), b_h=np.array([b[2]]))
+            return GruParams(np.vstack([w[0], w[1], w[2]]),
+                             np.vstack([[u[0]], [u[1]], [u[2]]]), np.array(b, dtype=float))
 
         params = ModelParams(
             ModelKind.C2W2S4PT, e_c,
@@ -359,8 +355,8 @@ class TestInvariants:
             permuted[:, perm[ch]] = e_c[:, old_id]
         permuted[:, new_vocab.unk_id] = e_c[:, reg.vocab.unk_id]
         reg2 = Regressor(ModelKind.C2W2S4PT,
-                         build_params(ModelKind.C2W2S4PT,
-                                      {**reg.tensors(), "e_c": permuted}),
+                         ModelParams(ModelKind.C2W2S4PT, permuted, reg.params.levels,
+                                     reg.params.head),
                          new_vocab)
         assert reg2.score(tweet) == baseline
 

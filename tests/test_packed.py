@@ -116,9 +116,9 @@ def test_packed_birnn_rows_equal_single_sequences():
     rng = SplitMix64(7)
 
     def gru(d, h):
-        return GruParams.from_stacked(rng.uniforms(3 * h * d, -0.5, 0.5).reshape(3 * h, d),
-                                      rng.uniforms(3 * h * h, -0.5, 0.5).reshape(3 * h, h),
-                                      rng.uniforms(3 * h, -0.5, 0.5))
+        return GruParams(rng.uniforms(3 * h * d, -0.5, 0.5).reshape(3 * h, d),
+                         rng.uniforms(3 * h * h, -0.5, 0.5).reshape(3 * h, h),
+                         rng.uniforms(3 * h, -0.5, 0.5))
 
     p = BiRnnParams(gru(3, 4), gru(3, 4))
     lengths = [3, 1, 5, 3]
@@ -151,20 +151,3 @@ def test_named_tensors_are_views_of_the_stacks():
             p.w_r[0, 0] = 42.0
             assert p.W[p.hidden_size, 0] == 42.0
 
-
-def test_gru_params_from_separate_arrays_copy_into_a_stack():
-    h, d = 2, 3
-    parts = {name: np.full((h, d) if name[0] == "w" else (h, h) if name[0] == "u" else (h,),
-                           float(i)) for i, name in enumerate(
-        ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"))}
-    p = GruParams(**parts)
-    assert p.W.shape == (3 * h, d) and p.U.shape == (3 * h, h) and p.b.shape == (3 * h,)
-    np.testing.assert_array_equal(p.u_h, parts["u_h"])
-    assert not np.shares_memory(p.w_z, parts["w_z"])
-    again = GruParams(**p.tensors())
-    assert again.W is p.W and again.U is p.U and again.b is p.b
-    # Row blocks of one stack in the wrong order are copied, not reused.
-    swapped = GruParams(**{**p.tensors(), "w_z": p.w_r, "w_r": p.w_z})
-    assert swapped.W is not p.W and swapped.U is p.U
-    np.testing.assert_array_equal(swapped.w_z, parts["w_r"])
-    np.testing.assert_array_equal(swapped.w_r, parts["w_z"])
