@@ -5,7 +5,7 @@ bidirectional GRU levels and a one-hidden-layer MLP (ReLU) head that
 maps the top level's output to a scalar score.  One walk over the
 levels serves every kind:
 
-1. look up the table columns of the tweet's units: the tokens' characters
+1. look up the table columns of the tweets' units: the tokens' characters
    for C2W2S4PT, the tokens for the word baseline and the characters of
    the normalized text for the character baseline (a column lookup is
    the one-hot product, mathematically identical);
@@ -13,8 +13,8 @@ levels serves every kind:
    each token becomes one row: the concatenated final states of its two
    directions.  In C2W2S4PT that level composes each word from its
    characters (Ling et al. 2015, arXiv:1508.02096);
-3. run the top level over the rows, as a pack of one, and the head over
-   its one output row, the sentence vector (flat_forward).
+3. run the top level over the rows, one sequence per tweet, and the head
+   over its output rows, the sentence vectors (flat_forward).
 
 The backward pass walks the same steps in reverse (flat_backward, then
 the lower levels) and ends in one scatter-add into the table columns
@@ -31,31 +31,32 @@ bundle as is, so a loaded model is never rebuilt or copied.
 
 Inverted dropout can be applied at two sites during training: to each
 row entering the top level (the composed word vectors, or the word
-baseline's lookups) and to the sentence vector entering the MLP.  The
-masks are drawn in that order, the rows' as one draw, so the dropout
-stream is consumed deterministically; inference never applies a mask.
+baseline's lookups) and to the sentence vector entering the MLP.  Each
+tweet draws its rows' mask and then its sentence mask, and a pack of
+tweets draws them in tweet order as one call to the stream, so the
+stream is consumed as if the tweets ran one at a time; inference never
+applies a mask.
 
-A level below the top packs all tokens of one tweet into one pass: the
-tokens are sorted by length, longest first and stable among equal
-lengths, and step t advances only the tokens longer than t, without
-padding, as one matrix product per direction (the stacked, batched cell
-follows Appleyard et al. 2016).  In training, packing stops at the tweet
-boundary on purpose: packing a whole mini-batch would keep the traces of
-all its tweets alive at once (47 MB for 32 tweets of 64 characters on
-average at paper dimensions), while one tweet's traces are freed as soon
-as its gradients are added.
+Every pass runs a pack of tweets (Regressor.forward_many; forward is the
+pack of one).  A level below the top packs all tokens of all the pack's
+tweets into one pass: the tokens are sorted by length, longest first and
+stable among equal lengths, and step t advances only the tokens longer
+than t, without padding, as one matrix product per direction (the
+stacked, batched cell follows Appleyard et al. 2016).  The top level runs
+over the tweets the same way, and the head is one product per layer over
+their sentence vectors (mlp_forward).  A pack keeps the traces of all its
+tweets alive until its backward pass, so training cuts each mini-batch
+into consecutive packs whose lowest level's input projection stays under
+a byte budget (budgeted_chunks, projection_bytes).
 
 Scoring without gradients (Regressor.score_many, behind predict,
 visualize, cross-validation's held-out folds and the per-epoch
-validation) keeps no traces, so it packs across tweets: each level runs
-over the sequences of a chunk of tweets at once, and the head is one
-product over their sentence vectors.  A chunk's size is bounded by
-SCORE_BUDGET_BYTES, the memory of the input projection that an unroll
-takes before its time loop.  score and embedding stay the traced
-one-tweet pass, which the gradient checker probes.
+validation) keeps no traces, so its chunks may be larger: a chunk's size
+is bounded by SCORE_BUDGET_BYTES, the memory of the input projection
+that an unroll takes before its time loop.  score and embedding stay the
+traced pass of one tweet, which the gradient checker probes.
 """
 
-import math
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -165,14 +166,6 @@ class MlpHead:
 
 
 @dataclass
-class HeadTrace:
-    x_fed: np.ndarray      # input after any dropout mask
-    pre_relu: np.ndarray
-    h_s: np.ndarray
-    y: float
-
-
-@dataclass
 class ModelParams(Mapping):
     """All tensors of one trainable kind: the embedding table (width x
     vocabulary), one bi-GRU per level of the kind's spec, bottom-up, and
@@ -223,43 +216,37 @@ class ModelParams(Mapping):
 
 @dataclass
 class Trace:
-    """What the backward pass of one tweet reads, for every kind."""
+    """What the backward pass of a pack of tweets reads, for every kind."""
 
-    mask: np.ndarray       # word-site mask on the top level's input rows; None when unmasked
-    top: BiRnnTrace
-    e_s: np.ndarray        # the sentence vector
-    sent_mask: np.ndarray  # None when no sentence-site dropout
-    head: HeadTrace
+    mask: np.ndarray       # word-site masks on the top level's input rows; None when unmasked
+    top: BiRnnTrace        # the top level, one sequence per tweet
+    e_s: np.ndarray        # the sentence vectors, one row per tweet
+    sent_mask: np.ndarray  # sentence-site masks, one row per tweet; None when unmasked
+    pre_relu: np.ndarray   # the head's hidden pre-activations, one row per tweet
     ids: np.ndarray = None  # the table columns looked up, in order
     lower: list = ()        # BiRnnTrace of each level below the top, packed over the tokens
 
 
-def head_forward(head: MlpHead, x: np.ndarray) -> HeadTrace:
-    pre = require_finite("mlp head", head.w_eh @ x) + head.b_h
-    h_s = np.maximum(pre, 0.0)
-    y = float(head.w_hy[0] @ h_s) + float(head.b_y[0])
-    if not math.isfinite(y):
-        raise FloatingPointError("mlp head produced a non-finite score")
-    return HeadTrace(x_fed=x, pre_relu=pre, h_s=h_s, y=y)
-
-
-def head_scores(head: MlpHead, E: np.ndarray) -> np.ndarray:
-    """head_forward's score for each row of E, one product per layer."""
-    pre = require_finite("mlp head", E @ head.w_eh.T) + head.b_h
+def mlp_forward(head: MlpHead, X: np.ndarray):
+    """The head's score of each row of X, one product per layer; returns
+    (scores, hidden pre-activations)."""
+    pre = require_finite("mlp head", X @ head.w_eh.T) + head.b_h
     y = np.maximum(pre, 0.0) @ head.w_hy[0] + head.b_y[0]
     if not np.isfinite(y).all():
         raise FloatingPointError("mlp head produced a non-finite score")
-    return y
+    return y, pre
 
 
-def _head_backward(head: MlpHead, tr: HeadTrace, d_y: float, grads: dict) -> np.ndarray:
-    d_h_s = head.w_hy[0] * d_y
-    d_pre = d_h_s * (tr.pre_relu > 0)
-    grads["w_hy"] += d_y * tr.h_s[None, :]
-    grads["b_y"] += d_y
-    grads["w_eh"] += np.outer(d_pre, tr.x_fed)
-    grads["b_h"] += d_pre
-    return head.w_eh.T @ d_pre
+def mlp_backward(head: MlpHead, X: np.ndarray, pre: np.ndarray, d_y: np.ndarray,
+                 grads: dict) -> np.ndarray:
+    """Adds the head's gradients over rows X, each row's scaled by its d_y,
+    to grads; returns the gradient on X."""
+    d_pre = np.outer(d_y, head.w_hy[0]) * (pre > 0)
+    grads["w_hy"] += d_y @ np.maximum(pre, 0.0)
+    grads["b_y"] += d_y.sum()
+    grads["w_eh"] += d_pre.T @ X
+    grads["b_h"] += d_pre.sum(axis=0)
+    return d_pre @ head.w_eh
 
 
 def zero_grads(params: ModelParams) -> "OrderedDict[str, np.ndarray]":
@@ -271,31 +258,49 @@ def _add_grads(grads: dict, prefix: str, delta: dict) -> None:
         grads[prefix + k] += v
 
 
-def flat_forward(params: ModelParams, xs: np.ndarray, dropout: DropoutPlan = None):
-    """The top level and the head, which every kind ends in, over input
-    rows xs (one per word or character); returns (score, trace).
+def _draw_masks(params: ModelParams, dropout: DropoutPlan, rows: list, width: int):
+    """(word-site masks, one row per top-level input row; sentence masks,
+    one row per tweet), None for a site without dropout.
 
-    The word-site mask, when the spec asks for one, is one draw over all
-    rows in row order; the sentence mask is drawn after it.
+    Each tweet draws its rows' mask in row order and then its sentence
+    mask; a pack's draws are one call to the stream, in tweet order.
     """
-    dropping = dropout is not None and dropout.rate > 0.0
-    mask = None
-    if dropping and dropout.on_words and params.spec.mask_top:
-        mask = dropout.draw_mask(xs.size).reshape(xs.shape)
+    if dropout is None or dropout.rate == 0.0:
+        return None, None
+    w = width if dropout.on_words and params.spec.mask_top else 0
+    s = 2 * params.levels[-1].hidden_size if dropout.on_sentence else 0
+    if not (w or s):
+        return None, None
+    ends = np.cumsum([n * w + s for n in rows])
+    draw = dropout.draw_mask(int(ends[-1]))
+    at_sentence = (ends - s)[:, None] + np.arange(s)
+    in_rows = np.ones(len(draw), dtype=bool)
+    in_rows[at_sentence] = False
+    return (draw[in_rows].reshape(-1, width) if w else None,
+            draw[at_sentence] if s else None)
+
+
+def flat_forward(params: ModelParams, xs: np.ndarray, rows: list, dropout: DropoutPlan = None):
+    """The top level and the head, which every kind ends in, over the input
+    rows xs (one per word or character) of a pack of tweets, rows[i] of
+    them for tweet i; returns (scores, trace)."""
+    mask, sent_mask = _draw_masks(params, dropout, rows, xs.shape[1])
+    if mask is not None:
         xs = xs * mask
-    top = birnn_forward(params.levels[-1], xs, [len(xs)])
-    e_s = birnn_output(top)[0]
-    sent_mask = dropout.draw_mask(e_s.shape[0]) if dropping and dropout.on_sentence else None
-    head = head_forward(params.head, e_s * sent_mask if sent_mask is not None else e_s)
-    return head.y, Trace(mask=mask, top=top, e_s=e_s, sent_mask=sent_mask, head=head)
+    top = birnn_forward(params.levels[-1], xs, rows)
+    e_s = birnn_output(top)
+    y, pre = mlp_forward(params.head, e_s * sent_mask if sent_mask is not None else e_s)
+    return y, Trace(mask=mask, top=top, e_s=e_s, sent_mask=sent_mask, pre_relu=pre)
 
 
-def flat_backward(params: ModelParams, trace: Trace, d_y: float, grads: dict) -> np.ndarray:
-    """Adds the head's and the top level's gradients, scaled by d_y, to
-    grads; returns the gradient on flat_forward's input rows."""
-    d_in = _head_backward(params.head, trace.head, d_y, grads)
-    d_e_s = d_in * trace.sent_mask if trace.sent_mask is not None else d_in
-    g, d_xs = birnn_backward(params.levels[-1], trace.top, d_e_s[None])
+def flat_backward(params: ModelParams, trace: Trace, d_y: np.ndarray, grads: dict) -> np.ndarray:
+    """Adds the head's and the top level's gradients, each tweet's scaled by
+    its d_y, to grads; returns the gradient on flat_forward's input rows."""
+    sent_mask = trace.sent_mask
+    fed = trace.e_s * sent_mask if sent_mask is not None else trace.e_s
+    d_in = mlp_backward(params.head, fed, trace.pre_relu, d_y, grads)
+    g, d_xs = birnn_backward(params.levels[-1], trace.top,
+                             d_in * sent_mask if sent_mask is not None else d_in)
     _add_grads(grads, params.spec.levels[-1][0], g)
     return d_xs * trace.mask if trace.mask is not None else d_xs
 
@@ -346,6 +351,38 @@ def empty_params(kind: ModelKind, dims: dict) -> ModelParams:
     return ModelParams(ModelKind(kind), table, tuple(levels), head)
 
 
+def projection_bytes(params: ModelParams, units: list) -> list:
+    """Per tweet given by its unit_ids, the bytes of its rows of the input
+    projection that the lowest level's unroll takes before its time loop:
+    3h float64s per unit, h the largest hidden size."""
+    row_bytes = 24 * max(rnn.hidden_size for rnn in params.levels)
+    return [len(ids) * row_bytes for ids, _ in units]
+
+
+def budgeted_chunks(costs, budget):
+    """(lo, hi) bounds of consecutive runs of items, in order: a run takes
+    items while their summed cost fits budget, and an item over the budget
+    runs alone."""
+    lo = 0
+    while lo < len(costs):
+        hi, size = lo + 1, costs[lo]
+        while hi < len(costs) and size + costs[hi] <= budget:
+            size += costs[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _joined(units: list):
+    """(the table columns of a pack's units, concatenated; the token
+    lengths of all its tweets, None for a one-level kind; the top level's
+    input rows per tweet)."""
+    ids = np.concatenate([u for u, _ in units])
+    if units[0][1] is None:
+        return ids, None, [len(u) for u, _ in units]
+    return ids, [n for _, ls in units for n in ls], [len(ls) for _, ls in units]
+
+
 @dataclass
 class Regressor:
     """One trainable model: kind, its parameter bundle and its vocabulary."""
@@ -371,25 +408,40 @@ class Regressor:
                     [len(ids) for ids in per_unit])
         return np.array([self.vocab.id_of(u) for u in units], dtype=np.intp), None
 
-    def forward(self, tweet, dropout: DropoutPlan = None):
-        """(score, trace) for one tweet (anything with tokens/normalized_text)."""
-        ids, lengths = self.unit_ids(tweet)
+    def forward_units(self, units: list, dropout: DropoutPlan = None):
+        """(scores, trace) of a pack of tweets given by their unit_ids, in
+        their order: every level runs once over the whole pack."""
+        ids, lengths, rows = _joined(units)
         x = self.params.table.T[ids]
         lower = []
         for rnn in self.params.levels[:-1]:
             lower.append(birnn_forward(rnn, x, lengths))
             x = birnn_output(lower[-1])
-        y, trace = flat_forward(self.params, x, dropout)
+        y, trace = flat_forward(self.params, x, rows, dropout)
         trace.ids, trace.lower = ids, lower
         return y, trace
 
-    def backward(self, trace: Trace, d_y: float, grads: dict = None) -> dict:
-        """Exact gradients of the score w.r.t. every tensor, scaled by d_y.
+    def forward_many(self, tweets, dropout: DropoutPlan = None):
+        """(scores, trace) of a pack of tweets (anything with
+        tokens/normalized_text), in their order."""
+        return self.forward_units([self.unit_ids(tw) for tw in tweets], dropout)
+
+    def forward(self, tweet, dropout: DropoutPlan = None):
+        """(score, trace) for one tweet: the pack of one."""
+        y, trace = self.forward_many([tweet], dropout)
+        return float(y[0]), trace
+
+    def backward(self, trace: Trace, d_y, grads: dict = None) -> dict:
+        """Exact gradients of the scores of a pack w.r.t. every tensor, each
+        tweet's scaled by its entry of d_y (a number for a pack of one).
 
         The input rows' gradients land in the table columns of the units
-        seen, in one scatter-add.  Pass grads to accumulate across examples.
+        seen, in one scatter-add.  Pass grads to accumulate across packs.
         """
         params = self.params
+        d_y = np.array(d_y, dtype=np.float64).reshape(-1)
+        if d_y.shape != (len(trace.e_s),):
+            raise ValueError(f"{d_y.size} upstream gradients for a pack of {len(trace.e_s)}")
         if grads is None:
             grads = zero_grads(params)
         d_x = flat_backward(params, trace, d_y, grads)
@@ -402,41 +454,27 @@ class Regressor:
 
     def score_many(self, tweets):
         """(scores, sentence vectors) of many tweets, in their order: the
-        walk of forward without dropout and without traces.
+        walk of forward_many without dropout and without traces.
 
         Consecutive tweets are scored together in chunks whose lowest
         level's input projection fits SCORE_BUDGET_BYTES (a tweet over it
-        runs alone).  Each level runs packed over all sequences of a
-        chunk: the lower levels over the tokens of its tweets, the top
-        level over its tweets; the head is one product over their
-        sentence vectors.  Scores agree with score's to rounding (the
-        matrix products block other row counts), not bit for bit.
+        runs alone).  Scores agree with score's to rounding (the matrix
+        products block other row counts), not bit for bit.
         """
         params = self.params
         units = [self.unit_ids(tw) for tw in tweets]
-        row_bytes = 24 * max(rnn.hidden_size for rnn in params.levels)  # 3h float64s
-        cost = [len(ids) * row_bytes for ids, _ in units]
         E = np.empty((len(units), 2 * params.levels[-1].hidden_size))
-        lo = 0
-        while lo < len(units):
-            hi, size = lo + 1, cost[lo]
-            while hi < len(units) and size + cost[hi] <= SCORE_BUDGET_BYTES:
-                size += cost[hi]
-                hi += 1
-            chunk = units[lo:hi]
-            x = params.table.T[np.concatenate([ids for ids, _ in chunk])]
-            if len(params.levels) > 1:
-                lengths = [n for _, ls in chunk for n in ls]
-                for rnn in params.levels[:-1]:
-                    x = birnn_final(rnn, x, lengths)
-            rows = [len(ids) if ls is None else len(ls) for ids, ls in chunk]
+        for lo, hi in budgeted_chunks(projection_bytes(params, units), SCORE_BUDGET_BYTES):
+            ids, lengths, rows = _joined(units[lo:hi])
+            x = params.table.T[ids]
+            for rnn in params.levels[:-1]:
+                x = birnn_final(rnn, x, lengths)
             E[lo:hi] = birnn_final(params.levels[-1], x, rows)
-            lo = hi
-        return head_scores(params.head, E), E
+        return mlp_forward(params.head, E)[0], E
 
     def score(self, tweet) -> float:
         return self.forward(tweet)[0]
 
     def embedding(self, tweet) -> np.ndarray:
         """Sentence vector fed to the MLP head (inference, no dropout)."""
-        return self.forward(tweet)[1].e_s
+        return self.forward(tweet)[1].e_s[0]

@@ -3,30 +3,42 @@
 Training is exactly reproducible: (seed, corpus, config) determine the
 checkpoint bit-for-bit.  Shuffling and dropout use independent streams
 derived from the master seed, so turning dropout off never perturbs the
-batch order.  Per-batch gradients are the mean over examples, reduced in
-ascending example-index order.
+batch order.  Per-batch gradients are the mean over examples.
 
-Each example is one forward and one backward pass over one tweet; the
-model packs the words of that tweet into one character pass (see
-model.py) but never packs several tweets, so the reduction order above
-is unchanged.  The dropout stream is consumed per example in that
-ascending order: the character level draws nothing, then the word masks
-in token order, then the sentence mask.  The per-epoch validation pass
-computes no gradients and scores the held-out tweets packed together
-(Regressor.score_many).
+A mini-batch runs as consecutive packs of its tweets, in ascending
+example-index order: one forward and one backward pass per pack
+(Regressor.forward_units), with every level packed over all the pack's
+tweets, so a level costs about its longest sequence's steps, not the
+sum of all of them.  A pack holds the traces of all its tweets until its
+backward pass, so a pack is as many consecutive tweets as keep the
+lowest level's input projection within PACK_BUDGET_BYTES (a tweet over
+it runs alone).  Gradients are exact for any packing; only their
+summation order, and so the last bits of a checkpoint, depend on it, and
+a batch of one is a pack of one.  The dropout stream is consumed per
+example in ascending order whatever the packing: the character level
+draws nothing, then the word masks in token order, then the sentence
+mask.  Each training tweet's unit ids and pack cost are computed once
+per train call.  The per-epoch validation pass computes no gradients and
+scores the held-out tweets packed together (Regressor.score_many).
 """
 
+import copy
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab
-from .model import (DropoutPlan, ModelKind, Regressor, empty_params, mse_loss, spec_of,
-                    zero_grads)
+from .model import (DropoutPlan, ModelKind, Regressor, budgeted_chunks, empty_params,
+                    mse_loss, projection_bytes, spec_of, zero_grads)
 from .rng import SplitMix64
+
+# Bytes of the lowest level's input projection (see model.projection_bytes)
+# that one training pack may take.  A pack's traces are several times
+# that and stay alive until its backward pass.
+PACK_BUDGET_BYTES = 1536 << 10
 
 
 @dataclass
@@ -244,6 +256,30 @@ def _chunked(seq, size):
         yield seq[i:i + size]
 
 
+def _pack_step(reg: Regressor, units: list, ys: list, dropout, scale: float,
+               grads: dict) -> list:
+    """One forward and one backward pass over a pack of training tweets:
+    adds the gradients of scale * (y_hat - y)^2 of each to grads and
+    returns their errors y_hat - y, in order.  The pack's traces are freed
+    on return."""
+    y_hat, trace = reg.forward_units(units, dropout)
+    errs = [float(y) - target for y, target in zip(y_hat, ys)]
+    reg.backward(trace, [2.0 * err * scale for err in errs], grads)
+    return errs
+
+
+def _first_failing(reg: Regressor, units: list, pack: list, replay, error):
+    """(index, error) of the first tweet of a pack that failed whose own
+    pass fails, each run alone on the pack's dropout draws replayed; the
+    pack's first tweet and error if none does alone."""
+    for i in pack:
+        try:
+            reg.forward_units([units[i]], replay)
+        except FloatingPointError as e:
+            return i, e
+    return pack[0], error
+
+
 def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
           fold_plan=None, fold_index: int = None, validate: bool = True,
           on_epoch=None):
@@ -276,6 +312,12 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     adam = AdamState.for_tensors(params)
     shuffle_rng = SplitMix64(cfg.seed).derive("shuffle")
     dropout_rng = SplitMix64(cfg.seed).derive("dropout")
+    dropout = None
+    if cfg.dropout_rate > 0.0:
+        dropout = DropoutPlan(cfg.dropout_rate, dropout_rng, cfg.dropout_words,
+                              cfg.dropout_sentence)
+    units = [reg.unit_ids(tw) for tw in train_tweets]
+    cost = projection_bytes(params, units)
     ys = [tw.traits.get(trait) for tw in train_tweets]
     val_ys = [tw.traits.get(trait) for tw in val_tweets]
     reports = []
@@ -288,21 +330,20 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
         for batch_no, batch in enumerate(_chunked(order, cfg.batch_size), start=1):
             batch = sorted(batch)
             grads = zero_grads(reg.params)
-            inv = 1.0 / len(batch)
-            for i in batch:
-                dp = None
-                if cfg.dropout_rate > 0.0:
-                    dp = DropoutPlan(cfg.dropout_rate, dropout_rng,
-                                     cfg.dropout_words, cfg.dropout_sentence)
+            for lo, hi in budgeted_chunks([cost[i] for i in batch], PACK_BUDGET_BYTES):
+                pack = batch[lo:hi]
+                rng_before = copy.copy(dropout_rng)
                 try:
-                    y_hat, trace = reg.forward(train_tweets[i], dp)
+                    errs = _pack_step(reg, [units[i] for i in pack], [ys[i] for i in pack],
+                                      dropout, 1.0 / len(batch), grads)
                 except FloatingPointError as e:
+                    replay = dropout and replace(dropout, rng=rng_before)
+                    i, e = _first_failing(reg, units, pack, replay, e)
                     raise FloatingPointError(
                         f"{e} (trait {trait}, epoch {epoch}, batch {batch_no}, "
                         f"training tweet {train_idx[i]})") from e
-                err = y_hat - ys[i]
-                sq_sum += err * err
-                reg.backward(trace, 2.0 * err * inv, grads)
+                for err in errs:
+                    sq_sum += err * err
             if cfg.clip_norm is not None:
                 clip_gradients(grads, cfg.clip_norm)
             adam_step(params, grads, adam, cfg)

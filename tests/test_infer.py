@@ -11,7 +11,7 @@ from traitgru import model as M
 from traitgru.cli import main
 from traitgru.data import TraitScores, Tweet
 from traitgru.gru import BiRnnParams, birnn_final, birnn_forward, birnn_output
-from traitgru.model import TRAINABLE_KINDS, MlpHead, ModelKind, Regressor, head_scores
+from traitgru.model import TRAINABLE_KINDS, MlpHead, ModelKind, Regressor, mlp_forward
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims
 
@@ -157,12 +157,12 @@ def test_batched_head_keeps_the_finiteness_checks():
                    w_hy=np.ones((1, 1)), b_y=np.zeros(1))
     with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError,
                                                      match="mlp head produced non-finite values"):
-        head_scores(head, np.array([[0.5, 0.5], [1e308, 1e308]]))
+        mlp_forward(head, np.array([[0.5, 0.5], [1e308, 1e308]]))
     head = MlpHead(w_eh=np.full((2, 1), 1e308), b_h=np.zeros(2),
                    w_hy=np.full((1, 2), 10.0), b_y=np.zeros(1))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
                                                    match="mlp head .* non-finite score"):
-        head_scores(head, np.array([[0.0], [1.0]]))
+        mlp_forward(head, np.array([[0.0], [1.0]]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,7 +4,7 @@ import pytest
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
 from traitgru.gru import BiRnnParams, GruParams, birnn_forward, birnn_output
 from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, ModelParams,
-                            Regressor, head_forward, mse_loss)
+                            Regressor, mlp_forward, mse_loss)
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
@@ -32,6 +32,11 @@ def tiny_regressor(tweets, kind=ModelKind.C2W2S4PT, seed=0, **sizes):
                       dropout_rate=0.0, seed=seed)
     dims = model_dims(kind, cfg, vocab)
     return Regressor(kind=kind, params=init_params(kind, dims, seed), vocab=vocab)
+
+
+def head_score(head, x):
+    """The row-wise head's score of one input vector."""
+    return mlp_forward(head, x[None])[0][0]
 
 
 def encode(params, vocab, tokens):
@@ -105,14 +110,14 @@ class TestEncodeSentence:
         params = tiny_model(vocab.size, seed=5)
         trace = encode(params, vocab, ("hi",))
         e_w = compose_word(params, vocab, "hi")
-        np.testing.assert_array_equal(trace.e_s,
+        np.testing.assert_array_equal(trace.e_s[0],
                                       birnn_output(birnn_forward(params.levels[1], [e_w], [1]))[0])
         assert birnn_output(trace.lower[0]).shape == (1, e_w.shape[0])
 
     def test_zero_params_zero_sentence(self):
         vocab = CharVocab({"a": 0})
         params = tiny_model(vocab.size, scheme="zeros")
-        e_s = encode(params, vocab, ("a", "aa")).e_s
+        e_s = encode(params, vocab, ("a", "aa")).e_s[0]
         np.testing.assert_array_equal(e_s, np.zeros(4))
 
     def test_two_token_scalar_matches_manual_unroll(self):
@@ -168,7 +173,7 @@ class TestEncodeSentence:
         for e_w in reversed(e_ws):
             h = cell(ww_b[0], ww_b[1], ww_b[2], e_w, h)
         expected = [f, h]
-        e_s = encode(params, vocab, tuple(words)).e_s
+        e_s = encode(params, vocab, tuple(words)).e_s[0]
         np.testing.assert_allclose(e_s, expected, atol=1e-6)
 
     def test_empty_tokens_rejected(self):
@@ -182,23 +187,23 @@ class TestPredict:
     def test_zero_head_gives_zero(self):
         head = MlpHead(w_eh=np.zeros((2, 3)), b_h=np.zeros(2),
                        w_hy=np.zeros((1, 2)), b_y=np.zeros(1))
-        assert head_forward(head, np.array([1.0, -2.0, 3.0])).y == 0.0
+        assert head_score(head, np.array([1.0, -2.0, 3.0])) == 0.0
 
     def test_relu_clamps_negative_preactivation(self):
         head = MlpHead(w_eh=np.array([[1.0]]), b_h=np.array([-5.0]),
                        w_hy=np.array([[1.0]]), b_y=np.zeros(1))
-        assert head_forward(head, np.array([1.0])).y == 0.0
+        assert head_score(head, np.array([1.0])) == 0.0
 
     def test_hand_arithmetic(self):
         head = MlpHead(w_eh=np.array([[2.0]]), b_h=np.array([0.5]),
                        w_hy=np.array([[3.0]]), b_y=np.array([-1.0]))
-        assert head_forward(head, np.array([1.0])).y == pytest.approx(6.5)
+        assert head_score(head, np.array([1.0])) == pytest.approx(6.5)
 
     def test_shape_mismatch(self):
         head = MlpHead(w_eh=np.zeros((2, 3)), b_h=np.zeros(2),
                        w_hy=np.zeros((1, 2)), b_y=np.zeros(1))
         with pytest.raises(ValueError):
-            head_forward(head, np.zeros(4))
+            head_score(head, np.zeros(4))
 
 
 class TestMseLoss:
@@ -248,7 +253,7 @@ def assert_gradients_reach_below_the_head(reg, tweet):
     """The head has an active unit, so every GRU tensor and the table get a
     non-zero gradient and a gradient check covers them."""
     _, trace = reg.forward(tweet)
-    assert np.any(trace.head.pre_relu > 0)
+    assert np.any(trace.pre_relu > 0)
     grads = reg.backward(trace, 1.0)
     for name in grads:
         if name not in reg.params.head.tensors():
@@ -319,7 +324,7 @@ class TestUnitIds:
         reg = tiny_regressor([tweet], kind=kind, seed=4)
         e_s = reg.embedding(tweet)
         assert e_s.shape == (reg.params.head.in_dim,)
-        assert head_forward(reg.params.head, e_s).y == reg.score(tweet)
+        assert head_score(reg.params.head, e_s) == reg.score(tweet)
 
 
 class TestInvariants:
@@ -394,36 +399,42 @@ class TestDropoutPlumbing:
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
     def test_masked_backward_matches_finite_differences(self, kind):
         # A fresh plan of the same seed for every pass replays the masks,
-        # so central differences see the function the backward pass took.
-        tweet = mk_tweet("ab cd e")
-        reg = tiny_regressor([tweet], kind=kind, seed=43)
+        # so central differences see the function the backward pass took:
+        # for a pack of one, and for a pack of three tweets of different
+        # lengths, whose masks are one draw.
+        one = [mk_tweet("ab cd e")]
+        three = one + [mk_tweet("dc"), mk_tweet("e ab ba cd")]
+        reg = tiny_regressor(one, kind=kind, seed=43)
 
         def plan():
             return DropoutPlan(0.5, SplitMix64(3).derive("dropout"))
 
-        def loss():
-            return (reg.forward(tweet, plan())[0] - 0.2) ** 2
+        for tweets in (one, three):
+            ys = np.array([0.2, -0.1, 0.3])[:len(tweets)]
 
-        y_hat, trace = reg.forward(tweet, plan())
-        assert np.any(trace.head.pre_relu > 0)  # gradients reach below the head
-        assert (trace.mask is not None) == (kind != ModelKind.BI_GRU_CHAR)
-        for mask in (trace.mask, trace.sent_mask):
-            assert mask is None or 0.0 < np.count_nonzero(mask) < mask.size
-        grads = reg.backward(trace, 2.0 * (y_hat - 0.2))
-        eps, worst = 1e-5, 0.0
-        for name, theta in reg.tensors().items():
-            flat, analytic = theta.reshape(-1), grads[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = loss()
-                flat[i] = orig - eps
-                lo = loss()
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * eps)
-                worst = max(worst, abs(analytic[i] - numeric)
-                            / max(abs(analytic[i]), abs(numeric), 1e-8))
-        assert worst < 1e-4
+            def loss():
+                return float(np.sum((reg.forward_many(tweets, plan())[0] - ys) ** 2))
+
+            y_hat, trace = reg.forward_many(tweets, plan())
+            assert np.any(trace.pre_relu > 0)  # gradients reach below the head
+            assert (trace.mask is not None) == (kind != ModelKind.BI_GRU_CHAR)
+            for mask in (trace.mask, trace.sent_mask):
+                assert mask is None or 0.0 < np.count_nonzero(mask) < mask.size
+            grads = reg.backward(trace, 2.0 * (y_hat - ys))
+            eps, worst = 1e-5, 0.0
+            for name, theta in reg.tensors().items():
+                flat, analytic = theta.reshape(-1), grads[name].reshape(-1)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + eps
+                    hi = loss()
+                    flat[i] = orig - eps
+                    lo = loss()
+                    flat[i] = orig
+                    numeric = (hi - lo) / (2.0 * eps)
+                    worst = max(worst, abs(analytic[i] - numeric)
+                                / max(abs(analytic[i]), abs(numeric), 1e-8))
+            assert worst < 1e-4, len(tweets)
 
 
 class TestMatvec:
@@ -432,7 +443,7 @@ class TestMatvec:
         head = MlpHead(w_eh=np.full((1, 2), 1e308), b_h=np.zeros(1),
                        w_hy=np.ones((1, 1)), b_y=np.zeros(1))
         with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="mlp head"):
-            head_forward(head, np.array([1e308, 1e308]))
+            head_score(head, np.array([1e308, 1e308]))
 
     def test_nonfinite_score_aborts(self):
         # w_eh @ x is finite, and the output layer's product overflows.
@@ -440,4 +451,4 @@ class TestMatvec:
                        w_hy=np.full((1, 2), 10.0), b_y=np.zeros(1))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
                                                        match="mlp head .* non-finite score"):
-            head_forward(head, np.array([1.0]))
+            head_score(head, np.array([1.0]))

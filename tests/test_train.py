@@ -223,6 +223,44 @@ class TestTrainLoop:
         assert str(info.value).endswith("(trait ext, epoch 1, batch 2, training tweet 7)")
         assert "non-finite" in str(info.value)
 
+    def test_non_finite_in_a_later_tweet_of_a_pack_names_that_tweet(self, monkeypatch):
+        # One batch, packed whole.  Only tweets 5 and 12 use the character
+        # "z", whose embedding column is NaN, so the pack fails and the
+        # first of them is named.
+        from dataclasses import replace
+
+        tweets = fixture_tweets()
+        for i in (5, 12):
+            tweets[i] = replace(tweets[i], normalized_text=tweets[i].normalized_text + " zz",
+                                tokens=tweets[i].tokens + ("zz",))
+        build_vocab_for, init = T.build_vocab_for, T.init_params
+        vocabs, packs = [], []
+
+        def recording_vocab(*args):
+            vocabs.append(build_vocab_for(*args))
+            return vocabs[-1]
+
+        def poisoned_init(*args):
+            params = init(*args)
+            params.table[:, vocabs[-1].id_of("z")] = np.nan
+            return params
+
+        real_forward = T.Regressor.forward_units
+
+        def spy(self, units, dropout=None):
+            packs.append(len(units))
+            return real_forward(self, units, dropout)
+
+        monkeypatch.setattr(T, "build_vocab_for", recording_vocab)
+        monkeypatch.setattr(T, "init_params", poisoned_init)
+        monkeypatch.setattr(T.Regressor, "forward_units", spy)
+        cfg = tiny_cfg(batch_size=len(tweets), dropout_rate=0.5)
+        with pytest.raises(FloatingPointError) as info:
+            train(ModelKind.C2W2S4PT, tweets, "ext", cfg)
+        assert str(info.value).endswith("(trait ext, epoch 1, batch 1, training tweet 5)")
+        assert "non-finite" in str(info.value)
+        assert packs[0] == len(tweets)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
     def test_non_finite_validation_names_trait_epoch_and_validation(self, kind):
