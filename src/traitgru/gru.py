@@ -23,12 +23,13 @@ Every unroll runs sequences packed step-major without padding: sorted
 by length, longest first, step t advances only the first batch_sizes[t]
 of them, as one matrix product over those rows.  One sequence is a pack
 of one, so the top level of every model kind and the lower levels run
-the same cell step and the same BPTT loop, and every trace holds (B, h)
-rows.
+the same cell step and the same BPTT loop.
 
-gru_cell holds the gate math of a step.  gru_forward wraps its values in
-the trace that backpropagation reads; rnn_final and birnn_final run the
-same steps keeping only the state rows, for scoring without gradients.
+gru_forward is the one cell step.  rnn_unroll runs it over the steps and
+writes its values into a trace of arrays, one row per packed input row,
+which rnn_backward reads by step slices; rnn_final and birnn_final run
+the same steps keeping only the state rows, for scoring without
+gradients.
 
 The bidirectional encoder runs one parameter set forward over the
 sequence and an independent set over the reversed sequence, then
@@ -39,7 +40,6 @@ the zero vector.
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,31 +94,30 @@ class GruParams:
         return cls(np.zeros((3 * h, d)), np.zeros((3 * h, h)), np.zeros(3 * h))
 
 
-class GateInput(NamedTuple):
-    """A step's input rows x with their projection x W^T + b, which
-    rnn_unroll computes for all steps in one product."""
-
-    x: np.ndarray
-    a: np.ndarray
-
-
 @dataclass(slots=True)
-class GruCellTrace:
-    """Everything one step needs for its exact backward pass.
+class RnnTrace:
+    """What the backward pass of one packed unroll reads.
 
-    Fields are (B, h) rows, one per sequence active at the step, or (h,)
-    vectors when gru_forward is given one input vector.
-    hu is the projected previous state U_h @ h_prev, kept so the reset
-    gate's gradient does not recompute it.
+    Every array has one row per packed input row, in the packed order of
+    rnn_unroll's xs: the inputs x, the update and reset gates zr = [z | r],
+    the candidate h_tilde, hu = U_h h_prev (kept so the reset gate's
+    gradient does not recompute it) and the new state h_new.  Step t's
+    h_prev rows are the leading batch_sizes[t] rows of step t-1's h_new
+    rows, and zeros at step 0.  final holds each sequence's state after
+    its own last step, (B, h) in packed order.  len(trace) is the number
+    of steps; the trace's memory is its arrays' nbytes.
     """
 
     x: np.ndarray
-    h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
+    zr: np.ndarray
     h_tilde: np.ndarray
-    h_new: np.ndarray
     hu: np.ndarray
+    h_new: np.ndarray
+    batch_sizes: list
+    final: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.batch_sizes)
 
 
 @dataclass
@@ -192,14 +191,15 @@ def pack(lengths) -> Packing:
 
 @dataclass
 class BiRnnTrace:
-    fwd: list
-    bwd: list
+    fwd: RnnTrace
+    bwd: RnnTrace
     packing: Packing
 
 
-def gru_cell(p: GruParams, a: np.ndarray, h_prev: np.ndarray):
-    """The gate math of one step, given the projected inputs a = x W^T + b:
-    (z, r, hu, h_tilde, h_new), with hu a view of the product h_prev U^T."""
+def gru_forward(p: GruParams, a: np.ndarray, h_prev: np.ndarray):
+    """One cell step of the rows h_prev, given their projected inputs
+    a = x W^T + b: (zr, h_tilde, hu, h_new), with zr = [z | r] and hu a
+    view of the product h_prev U^T."""
     h = p.hidden_size
     g = h_prev @ p.U.T
     zr = sigmoid(a[..., :2 * h] + g[..., :2 * h])
@@ -208,54 +208,7 @@ def gru_cell(p: GruParams, a: np.ndarray, h_prev: np.ndarray):
     h_tilde = np.tanh(a[..., 2 * h:] + r * hu)
     h_new = h_tilde + z * (h_prev - h_tilde)
     require_finite("gru_forward", h_new)
-    return z, r, hu, h_tilde, h_new
-
-
-def gru_forward(p: GruParams, x, h_prev: np.ndarray) -> GruCellTrace:
-    """One cell step; returns the full trace (h_new is trace.h_new).
-
-    x is (d,) with h_prev (h,), or B rows (B, d) with h_prev (B, h); or a
-    GateInput carrying x together with its precomputed projection.
-    """
-    if isinstance(x, GateInput):  # from rnn_unroll, which checked the shapes
-        x, a = x
-    else:
-        h = p.hidden_size
-        if x.ndim not in (1, 2) or x.shape[-1] != p.input_size:
-            raise ValueError(f"x shape {x.shape} != ({p.input_size},) or (B, {p.input_size})")
-        if h_prev.shape != x.shape[:-1] + (h,):
-            raise ValueError(f"h_prev shape {h_prev.shape} != {x.shape[:-1] + (h,)}")
-        a = x @ p.W.T + p.b
-    z, r, hu, h_tilde, h_new = gru_cell(p, a, h_prev)
-    # hu is copied, so the trace does not keep all of h_prev U^T alive.
-    return GruCellTrace(x=x, h_prev=h_prev, z=z, r=r, h_tilde=h_tilde, h_new=h_new,
-                        hu=hu.copy())
-
-
-def gru_backward(p: GruParams, trace: GruCellTrace, d_h_new: np.ndarray):
-    """Exact gradients of one step of one sequence, (h,) vectors, given the
-    upstream gradient on h_new; the step-by-step reference for
-    rnn_backward, applied to one row of a packed trace.
-
-    Returns (param gradient dict keyed like GruParams.tensors(), gradient
-    w.r.t. x, gradient w.r.t. h_prev), the triple rnn_backward returns.
-    """
-    if d_h_new.shape != trace.h_new.shape:
-        raise ValueError(f"d_h_new shape {d_h_new.shape} != {trace.h_new.shape}")
-    t = trace
-    d_z = d_h_new * (t.h_prev - t.h_tilde)
-    d_h_tilde = d_h_new * (1.0 - t.z)
-    d_a_h = d_h_tilde * (1.0 - t.h_tilde * t.h_tilde)
-    d_r = d_a_h * t.hu
-    d_hu = d_a_h * t.r
-    d_a_z = d_z * t.z * (1.0 - t.z)
-    d_a_r = d_r * t.r * (1.0 - t.r)
-    d_x = p.w_z.T @ d_a_z + p.w_r.T @ d_a_r + p.w_h.T @ d_a_h
-    d_h_prev = d_h_new * t.z + p.u_z.T @ d_a_z + p.u_r.T @ d_a_r + p.u_h.T @ d_hu
-    blocks = [np.outer(a, t.x) for a in (d_a_z, d_a_r, d_a_h)]
-    blocks += [np.outer(a, t.h_prev) for a in (d_a_z, d_a_r, d_hu)]
-    blocks += [d_a_z, d_a_r, d_a_h]
-    return dict(zip(TENSOR_NAMES, blocks)), d_x, d_h_prev
+    return zr, h_tilde, hu, h_new
 
 
 def _projected(p: GruParams, xs, batch_sizes):
@@ -273,79 +226,91 @@ def _projected(p: GruParams, xs, batch_sizes):
     return X, A
 
 
-def rnn_unroll(p: GruParams, xs, h0: np.ndarray, batch_sizes) -> list:
-    """Run the cell over packed rows starting from h0; one trace per step.
+def rnn_unroll(p: GruParams, xs, batch_sizes) -> RnnTrace:
+    """Run the cell from the zero state over packed rows, keeping the trace.
 
     xs is (N, d) rows packed step-major (see Packing): step t takes the
-    next batch_sizes[t] rows, and h0 is (batch_sizes[0], h).
-    trace[t].h_prev is the leading rows of trace[t-1].h_new.
+    next batch_sizes[t] rows.  Each step's values are written into the
+    trace's arrays at the step's rows, and each final row as its sequence
+    ends.
     """
     X, A = _projected(p, xs, batch_sizes)
-    if h0.shape != (batch_sizes[0], p.hidden_size):
-        raise ValueError(f"h0 shape {h0.shape} != {(batch_sizes[0], p.hidden_size)}")
-    traces = []
-    h = h0
+    n, h = len(X), p.hidden_size
+    zr_all = np.empty((n, 2 * h))
+    h_tilde_all, hu_all, h_new_all = np.empty((n, h)), np.empty((n, h)), np.empty((n, h))
+    final = np.empty((batch_sizes[0], h))
+    state = np.zeros((batch_sizes[0], h))
     start = 0
-    for b in batch_sizes:
+    for b, b_next in zip(batch_sizes, batch_sizes[1:] + [0]):
         end = start + b
-        tr = gru_forward(p, GateInput(X[start:end], A[start:end]), h[:b])
-        traces.append(tr)
-        h = tr.h_new
+        zr, h_tilde, hu, state = gru_forward(p, A[start:end], state[:b])
+        zr_all[start:end] = zr
+        h_tilde_all[start:end] = h_tilde
+        hu_all[start:end] = hu
+        h_new_all[start:end] = state
+        final[b_next:b] = state[b_next:]
         start = end
-    return traces
+    return RnnTrace(x=X, zr=zr_all, h_tilde=h_tilde_all, hu=hu_all, h_new=h_new_all,
+                    batch_sizes=batch_sizes, final=final)
 
 
 def rnn_final(p: GruParams, xs, batch_sizes) -> np.ndarray:
-    """Each packed sequence's state after its own last step, (B, h) in
-    packed order, from the zero state: rnn_unroll's cell steps keeping
-    no trace, only the state rows, each final row written as its
-    sequence ends."""
+    """rnn_unroll(p, xs, batch_sizes).final without the trace: the same
+    cell steps keeping only the state rows."""
     _, A = _projected(p, xs, batch_sizes)
     out = np.empty((batch_sizes[0], p.hidden_size))
     h = np.zeros_like(out)
     start = 0
     for b, b_next in zip(batch_sizes, batch_sizes[1:] + [0]):
         end = start + b
-        h = gru_cell(p, A[start:end], h[:b])[-1]
+        h = gru_forward(p, A[start:end], h[:b])[-1]
         out[b_next:b] = h[b_next:]
         start = end
     return out
 
 
-def rnn_backward(p: GruParams, traces: list, d_h_last: np.ndarray):
+def rnn_backward(p: GruParams, trace: RnnTrace, d_h_last: np.ndarray):
     """Backpropagation through time when only each sequence's final state
     feeds the loss.
 
-    traces come from rnn_unroll; d_h_last is (B, h), in packed order.  The
-    recurrent chain walks the steps in reverse exactly as gru_backward
-    does (see the cross-check test), with one product through U per step;
-    the weight gradients are one product each over all steps.
+    trace comes from rnn_unroll; d_h_last is (B, h), in packed order.  The
+    recurrent chain walks the steps in reverse, reading each step's rows
+    of the trace, with one product through U per step; the weight
+    gradients are one product each over all steps.
 
     Returns (param gradient dict keyed like GruParams.tensors(), input
-    gradients with one row per input row of the unroll, gradient w.r.t. h0).
+    gradients with one row per input row of the unroll, gradient w.r.t.
+    the zero initial state).
     """
     h = p.hidden_size
-    X = np.vstack([tr.x for tr in traces])
-    H = np.vstack([tr.h_prev for tr in traces])
-    G = np.empty((len(X), 3 * h))  # [a_z | a_r | d_hu]: the gradient through U
-    A_h = np.empty((len(X), h))
+    sizes = trace.batch_sizes
+    n = len(trace.x)
+    # The h_prev rows, gathered once: row i of step t > 0 continues row
+    # i - batch_sizes[t-1] of step t-1.
+    H = np.zeros((n, h))
+    H[sizes[0]:] = trace.h_new[np.arange(sizes[0], n)
+                               - np.repeat(np.array(sizes[:-1], dtype=np.intp), sizes[1:])]
+    Z, R = trace.zr[:, :h], trace.zr[:, h:]
+    G = np.empty((n, 3 * h))  # [a_z | a_r | d_hu]: the gradient through U
+    A_h = np.empty((n, h))
     D = np.array(d_h_last, dtype=np.float64)  # running gradient on each sequence's state
     U = p.U
-    end = len(X)
-    for tr in reversed(traces):
-        b = len(tr.h_new)
-        end -= b
+    end = n
+    for b in reversed(sizes):
+        start = end - b
+        z, r, h_tilde = Z[start:end], R[start:end], trace.h_tilde[start:end]
         d_h = D[:b]
-        g = G[end:end + b]
-        a_h = d_h * (1.0 - tr.z) * (1.0 - tr.h_tilde * tr.h_tilde)
-        A_h[end:end + b] = a_h
-        g[:, :h] = d_h * (tr.h_prev - tr.h_tilde) * tr.z * (1.0 - tr.z)
-        g[:, h:2 * h] = a_h * tr.hu * tr.r * (1.0 - tr.r)
-        g[:, 2 * h:] = a_h * tr.r
-        D[:b] = d_h * tr.z + g @ U
+        g = G[start:end]
+        a_h = d_h * (1.0 - z) * (1.0 - h_tilde * h_tilde)
+        A_h[start:end] = a_h
+        g[:, :h] = d_h * (H[start:end] - h_tilde) * z * (1.0 - z)
+        g[:, h:2 * h] = a_h * trace.hu[start:end] * r * (1.0 - r)
+        g[:, 2 * h:] = a_h * r
+        D[:b] = d_h * z + g @ U
+        end = start
     d_U = G.T @ H
     G[:, 2 * h:] = A_h  # now [a_z | a_r | a_h]: the gradient through W and b
-    d_W = G.T @ X
+    d_W = G.T @ trace.x
     d_b = G.sum(axis=0)
     blocks = [m[i * h:(i + 1) * h] for m in (d_W, d_U, d_b) for i in range(3)]
     return dict(zip(TENSOR_NAMES, blocks)), G @ p.W, D
@@ -364,20 +329,8 @@ def birnn_forward(p: BiRnnParams, xs, lengths) -> BiRnnTrace:
     in order in xs; each direction runs all of them at once, packed, and
     the backward direction consumes each sequence reversed."""
     X, pk = _packed_inputs(xs, lengths)
-    h0 = np.zeros((len(pk.order), p.hidden_size))
-    return BiRnnTrace(fwd=rnn_unroll(p.fwd, X[pk.fwd], h0, pk.batch_sizes),
-                      bwd=rnn_unroll(p.bwd, X[pk.bwd], h0, pk.batch_sizes), packing=pk)
-
-
-def _last_states(traces: list, out: np.ndarray) -> None:
-    """Writes each packed sequence's state after its own last step into
-    the rows of out, in packed order."""
-    done = 0
-    for tr in reversed(traces):
-        b = len(tr.h_new)
-        if b > done:
-            out[done:b] = tr.h_new[done:]
-            done = b
+    return BiRnnTrace(fwd=rnn_unroll(p.fwd, X[pk.fwd], pk.batch_sizes),
+                      bwd=rnn_unroll(p.bwd, X[pk.bwd], pk.batch_sizes), packing=pk)
 
 
 def _in_own_order(pk: Packing, by_length: np.ndarray) -> np.ndarray:
@@ -389,11 +342,8 @@ def _in_own_order(pk: Packing, by_length: np.ndarray) -> np.ndarray:
 def birnn_output(trace: BiRnnTrace) -> np.ndarray:
     """[final forward state ; backward state at sequence position 1], one
     row per sequence, in their own order."""
-    h = trace.fwd[0].h_new.shape[1]
-    by_length = np.empty((len(trace.packing.order), 2 * h))
-    _last_states(trace.fwd, by_length[:, :h])
-    _last_states(trace.bwd, by_length[:, h:])
-    return _in_own_order(trace.packing, by_length)
+    return _in_own_order(trace.packing,
+                         np.concatenate([trace.fwd.final, trace.bwd.final], axis=1))
 
 
 def birnn_final(p: BiRnnParams, xs, lengths) -> np.ndarray:

@@ -37,17 +37,19 @@ tweets draws them in tweet order as one call to the stream, so the
 stream is consumed as if the tweets ran one at a time; inference never
 applies a mask.
 
-Every pass runs a pack of tweets (Regressor.forward_many; forward is the
-pack of one).  A level below the top packs all tokens of all the pack's
-tweets into one pass: the tokens are sorted by length, longest first and
-stable among equal lengths, and step t advances only the tokens longer
-than t, without padding, as one matrix product per direction (the
-stacked, batched cell follows Appleyard et al. 2016).  The top level runs
-over the tweets the same way, and the head is one product per layer over
-their sentence vectors (mlp_forward).  A pack keeps the traces of all its
-tweets alive until its backward pass, so training cuts each mini-batch
-into consecutive packs whose lowest level's input projection stays under
-a byte budget (budgeted_chunks, projection_bytes).
+Every pass runs a pack of tweets given by their unit_ids
+(Regressor.forward_units; forward is the pack of one).  A level below
+the top packs all tokens of all the pack's tweets into one pass: the
+tokens are sorted by length, longest first and stable among equal
+lengths, and step t advances only the tokens longer than t, without
+padding, as one matrix product per direction (the stacked, batched cell
+follows Appleyard et al. 2016).  The top level runs over the tweets the
+same way, and the head is one product per layer over their sentence
+vectors (mlp_forward).  A pack keeps the traces of all its tweets alive
+until its backward pass: per level and direction, one gru.RnnTrace of
+arrays holding the input rows and 5h floats per packed row.  So training
+cuts each mini-batch into consecutive packs whose lowest level's input
+projection stays under a byte budget (budgeted_chunks, projection_bytes).
 
 Scoring without gradients (Regressor.score_many, behind predict,
 visualize, cross-validation's held-out folds and the per-epoch
@@ -421,14 +423,9 @@ class Regressor:
         trace.ids, trace.lower = ids, lower
         return y, trace
 
-    def forward_many(self, tweets, dropout: DropoutPlan = None):
-        """(scores, trace) of a pack of tweets (anything with
-        tokens/normalized_text), in their order."""
-        return self.forward_units([self.unit_ids(tw) for tw in tweets], dropout)
-
     def forward(self, tweet, dropout: DropoutPlan = None):
         """(score, trace) for one tweet: the pack of one."""
-        y, trace = self.forward_many([tweet], dropout)
+        y, trace = self.forward_units([self.unit_ids(tweet)], dropout)
         return float(y[0]), trace
 
     def backward(self, trace: Trace, d_y, grads: dict = None) -> dict:
@@ -454,7 +451,7 @@ class Regressor:
 
     def score_many(self, tweets):
         """(scores, sentence vectors) of many tweets, in their order: the
-        walk of forward_many without dropout and without traces.
+        walk of forward_units without dropout and without traces.
 
         Consecutive tweets are scored together in chunks whose lowest
         level's input projection fits SCORE_BUDGET_BYTES (a tweet over it

@@ -10,7 +10,8 @@ example-index order: one forward and one backward pass per pack
 (Regressor.forward_units), with every level packed over all the pack's
 tweets, so a level costs about its longest sequence's steps, not the
 sum of all of them.  A pack holds the traces of all its tweets until its
-backward pass, so a pack is as many consecutive tweets as keep the
+backward pass, arrays whose bytes are a fixed multiple of its rows (see
+gru.RnnTrace), so a pack is as many consecutive tweets as keep the
 lowest level's input projection within PACK_BUDGET_BYTES (a tweet over
 it runs alone).  Gradients are exact for any packing; only their
 summation order, and so the last bits of a checkpoint, depend on it, and
@@ -18,12 +19,16 @@ a batch of one is a pack of one.  The dropout stream is consumed per
 example in ascending order whatever the packing: the character level
 draws nothing, then the word masks in token order, then the sentence
 mask.  Each training tweet's unit ids and pack cost are computed once
-per train call.  The per-epoch validation pass computes no gradients and
-scores the held-out tweets packed together (Regressor.score_many).
+per train call.  Before any parameter is allocated, train refuses a
+model whose parameters, gradients and two Adam moments would not fit in
+the machine's physical memory.  The per-epoch validation pass computes
+no gradients and scores the held-out tweets packed together
+(Regressor.score_many).
 """
 
 import copy
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -32,12 +37,14 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab
 from .model import (DropoutPlan, ModelKind, Regressor, budgeted_chunks, empty_params,
-                    mse_loss, projection_bytes, spec_of, zero_grads)
+                    mse_loss, projection_bytes, spec_of, tensor_shapes, zero_grads)
 from .rng import SplitMix64
 
 # Bytes of the lowest level's input projection (see model.projection_bytes)
-# that one training pack may take.  A pack's traces are several times
-# that and stay alive until its backward pass.
+# that one training pack may take.  A pack's trace arrays stay alive until
+# its backward pass; at the lowest level they take 2 x (d + 5h) floats per
+# row against the projection's 3h, about 3.5 times the budget at d=50,
+# h=256, plus the levels above.
 PACK_BUDGET_BYTES = 1536 << 10
 
 
@@ -196,6 +203,11 @@ def model_dims(kind: ModelKind, cfg: TrainConfig, vocab) -> dict:
     return dims
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
     """Deterministic initialization: Glorot-uniform weights, zero biases,
     embedding columns uniform in [-0.1, 0.1].  Each tensor draws from its
@@ -291,7 +303,10 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     training records only.  on_epoch(report) fires as each epoch ends,
     e.g. to stream the epoch CSV.  A training step's FloatingPointError is
     raised again naming the trait, epoch, batch and index in tweets; the
-    validation pass's naming the trait, the epoch and validation.
+    validation pass's naming the trait, the epoch and validation.  A model
+    whose parameters, gradients and two Adam moments (4 x 8 bytes per
+    entry) exceed physical memory is refused with ValueError before
+    anything of it is allocated.
     """
     kind = ModelKind(kind)
     spec_of(kind)  # rejects a kind that has no row in the spec table
@@ -307,6 +322,12 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     val_tweets = [tweets[i] for i in val_idx]
     vocab = build_vocab_for(kind, train_tweets)
     dims = model_dims(kind, cfg, vocab)
+    need = 4 * 8 * sum(math.prod(shape) for _, shape in tensor_shapes(kind, dims))
+    have = physical_memory()
+    if need > have:
+        raise ValueError(f"{kind.value} at these dimensions needs {need} bytes for its "
+                         f"parameters, gradients and Adam moments; this machine has "
+                         f"{have} bytes of physical memory")
     params = init_params(kind, dims, cfg.seed, cfg.init_scheme)
     reg = Regressor(kind=kind, params=params, vocab=vocab)
     adam = AdamState.for_tensors(params)

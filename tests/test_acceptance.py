@@ -123,21 +123,18 @@ def test_criterion_06_gru_invariants_fuzzed():
         h = 1 + rng.below(6)
         p = random_params(rng, d, h)
         xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(5))]
-        traces = rnn_unroll(p, xs, np.zeros((1, h)), [1] * len(xs))  # a pack of one
-        for tr in traces:
-            assert np.all((tr.z > 0) & (tr.z < 1))
-            assert np.all((tr.r > 0) & (tr.r < 1))
-            assert np.all((tr.h_tilde > -1) & (tr.h_tilde < 1))
-            assert np.all((tr.h_new > -1) & (tr.h_new < 1))
-        checked += len(traces)
+        tr = rnn_unroll(p, xs, [1] * len(xs))  # a pack of one
+        assert np.all((tr.zr > 0) & (tr.zr < 1))
+        assert np.all((tr.h_tilde > -1) & (tr.h_tilde < 1))
+        assert np.all((tr.h_new > -1) & (tr.h_new < 1))
+        checked += len(tr)
         # reversal duality: backward direction == forward run on reversed input
         if duals < 500:
             q = random_params(rng, d, h)
             bi = BiRnnParams(fwd=p, bwd=q)
             trace = birnn_forward(bi, xs, [len(xs)])
-            ref = rnn_unroll(q, list(reversed(xs)), np.zeros((1, h)), [1] * len(xs))
-            for a, b in zip(trace.bwd, ref):
-                np.testing.assert_allclose(a.h_new, b.h_new, atol=1e-12)
+            ref = rnn_unroll(q, list(reversed(xs)), [1] * len(xs))
+            np.testing.assert_allclose(trace.bwd.h_new, ref.h_new, atol=1e-12)
             duals += 1
     report(6, f"{checked} fuzzed cells in range, {duals} reversal dualities within 1e-12")
 

@@ -158,9 +158,9 @@ def test_train_rejects_a_bad_config_value_before_writing(workspace, capsys, key,
 
 
 def test_train_exits_1_when_the_model_cannot_be_allocated(workspace, capsys):
-    # One GRU tensor at this width needs over 2^47 bytes, more address space
-    # than a process has, so the allocation fails however memory is
-    # overcommitted.
+    # One GRU tensor at this width needs over 2^47 bytes, more than any
+    # machine's physical memory, so train refuses the model before
+    # allocating it.
     tmp_path, _, data_path = workspace
     lines = [ln for ln in TINY_CONFIG.splitlines() if not ln.startswith("hidden_size =")]
     cfg_path = tmp_path / "huge.cfg"
@@ -168,7 +168,8 @@ def test_train_exits_1_when_the_model_cannot_be_allocated(workspace, capsys):
     out = tmp_path / "huge.ckpt"
     assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
                  "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error:") and "bytes of physical memory" in err
     assert not out.exists()
 
 

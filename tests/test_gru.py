@@ -1,11 +1,11 @@
-from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from traitgru.gru import (BiRnnParams, GruCellTrace, GruParams, birnn_backward,
-                          birnn_forward, birnn_output, gru_backward, gru_forward,
-                          rnn_backward, rnn_unroll, sigmoid)
+from traitgru.gru import (TENSOR_NAMES, BiRnnParams, GruParams, RnnTrace, birnn_backward,
+                          birnn_final, birnn_forward, birnn_output, gru_forward, rnn_backward,
+                          rnn_final, rnn_unroll, sigmoid)
 from traitgru.rng import SplitMix64
 
 # Frozen against an arbitrary-precision evaluation of the cell equations
@@ -33,9 +33,9 @@ def random_params(rng: SplitMix64, d_in: int, h: int, scale: float = None) -> Gr
     return GruParams(W, U, b)
 
 
-def unroll(p: GruParams, xs) -> list:
-    """rnn_unroll over one sequence, a pack of one: every trace holds (1, h) rows."""
-    return rnn_unroll(p, xs, np.zeros((1, p.hidden_size)), [1] * len(xs))
+def unroll(p: GruParams, xs) -> RnnTrace:
+    """rnn_unroll over one sequence, a pack of one: row t is step t."""
+    return rnn_unroll(p, xs, [1] * len(xs))
 
 
 def encode(p: BiRnnParams, xs):
@@ -43,36 +43,85 @@ def encode(p: BiRnnParams, xs):
     return birnn_forward(p, xs, [len(xs)])
 
 
-def row(tr: GruCellTrace, i: int = 0) -> GruCellTrace:
-    """Row i of a packed step's trace, as the (h,) trace gru_backward takes."""
-    return GruCellTrace(*(getattr(tr, f.name)[i] for f in fields(tr)))
+class Row(NamedTuple):
+    """One step of one sequence as (h,) vectors: what gru_backward reads."""
+
+    x: np.ndarray
+    h_prev: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
+    h_tilde: np.ndarray
+    hu: np.ndarray
+    h_new: np.ndarray
+
+
+def cell(p: GruParams, x, h_prev) -> Row:
+    """One step of gru_forward from an input vector x and state h_prev."""
+    zr, h_tilde, hu, h_new = gru_forward(p, x @ p.W.T + p.b, h_prev)
+    h = p.hidden_size
+    return Row(x, h_prev, zr[:h], zr[h:], h_tilde, hu, h_new)
+
+
+def row(trace: RnnTrace, t: int) -> Row:
+    """Step t of a pack-of-one trace."""
+    h = trace.h_new.shape[1]
+    h_prev = trace.h_new[t - 1] if t else np.zeros(h)
+    return Row(trace.x[t], h_prev, trace.zr[t, :h], trace.zr[t, h:], trace.h_tilde[t],
+               trace.hu[t], trace.h_new[t])
+
+
+def gru_backward(p: GruParams, t: Row, d_h_new: np.ndarray):
+    """Exact gradients of one step of one sequence, given the upstream
+    gradient on h_new: the step-by-step reference for rnn_backward.
+
+    Returns (param gradient dict keyed like GruParams.tensors(), gradient
+    w.r.t. x, gradient w.r.t. h_prev), the triple rnn_backward returns.
+    """
+    if d_h_new.shape != t.h_new.shape:
+        raise ValueError(f"d_h_new shape {d_h_new.shape} != {t.h_new.shape}")
+    d_z = d_h_new * (t.h_prev - t.h_tilde)
+    d_h_tilde = d_h_new * (1.0 - t.z)
+    d_a_h = d_h_tilde * (1.0 - t.h_tilde * t.h_tilde)
+    d_r = d_a_h * t.hu
+    d_hu = d_a_h * t.r
+    d_a_z = d_z * t.z * (1.0 - t.z)
+    d_a_r = d_r * t.r * (1.0 - t.r)
+    d_x = p.w_z.T @ d_a_z + p.w_r.T @ d_a_r + p.w_h.T @ d_a_h
+    d_h_prev = d_h_new * t.z + p.u_z.T @ d_a_z + p.u_r.T @ d_a_r + p.u_h.T @ d_hu
+    blocks = [np.outer(a, t.x) for a in (d_a_z, d_a_r, d_a_h)]
+    blocks += [np.outer(a, t.h_prev) for a in (d_a_z, d_a_r, d_hu)]
+    blocks += [d_a_z, d_a_r, d_a_h]
+    return dict(zip(TENSOR_NAMES, blocks)), d_x, d_h_prev
 
 
 class TestForward:
     def test_zero_params_zero_state(self):
         p = GruParams.zeros(3, 2)
-        tr = gru_forward(p, np.array([4.0, -1.0, 2.0]), np.zeros(2))
+        tr = cell(p, np.array([4.0, -1.0, 2.0]), np.zeros(2))
         np.testing.assert_array_equal(tr.z, [0.5, 0.5])
         np.testing.assert_array_equal(tr.r, [0.5, 0.5])
         np.testing.assert_array_equal(tr.h_tilde, np.zeros(2))
         np.testing.assert_array_equal(tr.h_new, np.zeros(2))
 
     def test_scalar_trivial(self):
-        tr = gru_forward(scalar_params(), np.array([0.0]), np.array([0.0]))
+        tr = cell(scalar_params(), np.array([0.0]), np.array([0.0]))
         assert tr.z[0] == 0.5 and tr.r[0] == 0.5
         assert tr.h_tilde[0] == 0.0 and tr.h_new[0] == 0.0
 
     def test_scalar_derived(self):
-        tr = gru_forward(scalar_params(), np.array([1.0]), np.array([0.0]))
+        tr = cell(scalar_params(), np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(tr.z[0], SCALAR_GATE, atol=1e-5)
         np.testing.assert_allclose(tr.h_tilde[0], SCALAR_CANDIDATE, atol=1e-5)
         np.testing.assert_allclose(tr.h_new[0], SCALAR_H1, atol=1e-5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gru_forward(scalar_params(), np.array([1.0, 2.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            gru_forward(scalar_params(), np.array([1.0]), np.array([0.0, 0.0]))
+        # The unroll's own input checks: the input width, and batch sizes
+        # that add up to the rows.
+        for run in (rnn_unroll, rnn_final):
+            with pytest.raises(ValueError, match=r"inputs of shape \(2,\) != \(1,\)"):
+                run(scalar_params(), np.ones((2, 2)), [1, 1])
+            with pytest.raises(ValueError, match="batch sizes .* do not fit 3 rows"):
+                run(scalar_params(), np.ones((3, 1)), [1, 1])
 
 
 def finite_difference_cell(p: GruParams, x, h_prev, d_h_new, eps=1e-5):
@@ -85,9 +134,9 @@ def finite_difference_cell(p: GruParams, x, h_prev, d_h_new, eps=1e-5):
         for i in range(flat_t.size):
             orig = flat_t[i]
             flat_t[i] = orig + eps
-            hi = float(d_h_new @ gru_forward(p, x, h_prev).h_new)
+            hi = float(d_h_new @ cell(p, x, h_prev).h_new)
             flat_t[i] = orig - eps
-            lo = float(d_h_new @ gru_forward(p, x, h_prev).h_new)
+            lo = float(d_h_new @ cell(p, x, h_prev).h_new)
             flat_t[i] = orig
             flat_g[i] = (hi - lo) / (2 * eps)
         out[name] = g
@@ -105,7 +154,7 @@ class TestBackward:
     def test_zero_upstream_gradient(self):
         rng = SplitMix64(5)
         p = random_params(rng, 3, 2)
-        tr = gru_forward(p, rng.uniforms(3, -1, 1), rng.uniforms(2, -0.5, 0.5))
+        tr = cell(p, rng.uniforms(3, -1, 1), rng.uniforms(2, -0.5, 0.5))
         grads, d_x, d_h_prev = gru_backward(p, tr, np.zeros(2))
         for g in (grads["w_z"], grads["u_h"], grads["b_r"], d_x, d_h_prev):
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -114,7 +163,7 @@ class TestBackward:
         p = scalar_params()
         x, h_prev = np.array([1.0]), np.array([0.0])
         d = np.array([1.0])
-        tr = gru_forward(p, x, h_prev)
+        tr = cell(p, x, h_prev)
         grads, d_x, d_h_prev = gru_backward(p, tr, d)
         fd = finite_difference_cell(p, x, h_prev, d)
         analytic = dict(grads, x=d_x, h_prev=d_h_prev)
@@ -127,7 +176,7 @@ class TestBackward:
         x = rng.uniforms(3, -1, 1)
         h_prev = rng.uniforms(3, -0.9, 0.9)
         d = rng.uniforms(3, -1, 1)
-        tr = gru_forward(p, x, h_prev)
+        tr = cell(p, x, h_prev)
         grads, d_x, d_h_prev = gru_backward(p, tr, d)
         fd = finite_difference_cell(p, x, h_prev, d)
         assert max_rel_err(grads["w_h"], fd["w_h"]) < 1e-4
@@ -141,29 +190,32 @@ class TestUnroll:
         rng = SplitMix64(1)
         p = random_params(rng, 2, 3)
         x = rng.uniforms(2, -1, 1)
-        traces = unroll(p, [x])
-        np.testing.assert_array_equal(traces[0].h_new[0],
-                                      gru_forward(p, x, np.zeros(3)).h_new)
+        trace = unroll(p, [x])
+        np.testing.assert_array_equal(trace.h_new[0], cell(p, x, np.zeros(3)).h_new)
 
     def test_zero_params_stay_zero(self):
         p = GruParams.zeros(2, 2)
         rng = SplitMix64(2)
         xs = [rng.uniforms(2, -1, 1) for _ in range(5)]
-        for tr in unroll(p, xs):
-            np.testing.assert_array_equal(tr.h_new[0], np.zeros(2))
+        np.testing.assert_array_equal(unroll(p, xs).h_new, np.zeros((5, 2)))
 
     def test_two_step_scalar_chain(self):
-        traces = unroll(scalar_params(), [np.array([1.0]), np.array([1.0])])
-        np.testing.assert_allclose(traces[0].h_new[0, 0], SCALAR_H1, atol=1e-5)
-        np.testing.assert_allclose(traces[1].h_new[0, 0], SCALAR_H2, atol=1e-5)
+        trace = unroll(scalar_params(), [np.array([1.0]), np.array([1.0])])
+        np.testing.assert_allclose(trace.h_new[0, 0], SCALAR_H1, atol=1e-5)
+        np.testing.assert_allclose(trace.h_new[1, 0], SCALAR_H2, atol=1e-5)
 
     def test_states_chain(self):
         rng = SplitMix64(3)
         p = random_params(rng, 2, 2)
         xs = [rng.uniforms(2, -1, 1) for _ in range(4)]
-        traces = unroll(p, xs)
-        for a, b in zip(traces, traces[1:]):
-            np.testing.assert_array_equal(b.h_prev, a.h_new)
+        trace = unroll(p, xs)
+        A = np.array(xs) @ p.W.T
+        A += p.b
+        h_prev = np.zeros((1, 2))
+        for t in range(len(xs)):  # each step starts from the previous step's state
+            h_prev = gru_forward(p, A[t:t + 1], h_prev)[-1]
+            np.testing.assert_array_equal(trace.h_new[t:t + 1], h_prev)
+        np.testing.assert_array_equal(trace.final, h_prev)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -177,8 +229,8 @@ class TestBiRnn:
         x = rng.uniforms(2, -1, 1)
         out = birnn_output(encode(p, [x]))[0]
         h0 = np.zeros(3)
-        np.testing.assert_array_equal(out[:3], gru_forward(p.fwd, x, h0).h_new)
-        np.testing.assert_array_equal(out[3:], gru_forward(p.bwd, x, h0).h_new)
+        np.testing.assert_array_equal(out[:3], cell(p.fwd, x, h0).h_new)
+        np.testing.assert_array_equal(out[3:], cell(p.bwd, x, h0).h_new)
 
     def test_zero_params_zero_vector(self):
         p = BiRnnParams(fwd=GruParams.zeros(2, 3), bwd=GruParams.zeros(2, 3))
@@ -198,6 +250,12 @@ class TestBiRnn:
         with pytest.raises(ValueError):
             birnn_output(encode(p, []))
 
+    def test_lengths_must_add_up_to_the_inputs(self):
+        p = BiRnnParams(fwd=scalar_params(), bwd=scalar_params())
+        for run in (birnn_forward, birnn_final):
+            with pytest.raises(ValueError, match="lengths add up to 3, not to the 2 inputs"):
+                run(p, np.ones((2, 1)), [2, 1])
+
     def test_direction_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="direction"):
             BiRnnParams(fwd=GruParams.zeros(2, 3), bwd=GruParams.zeros(2, 4))
@@ -209,8 +267,7 @@ class TestBiRnn:
         bp = BiRnnParams(fwd=random_params(rng, 3, 4), bwd=p)
         trace = encode(bp, xs)
         fwd_on_reversed = unroll(p, list(reversed(xs)))
-        for a, b in zip(trace.bwd, fwd_on_reversed):
-            np.testing.assert_allclose(a.h_new, b.h_new, atol=1e-12)
+        np.testing.assert_allclose(trace.bwd.h_new, fwd_on_reversed.h_new, atol=1e-12)
 
 
 class TestInvariants:
@@ -221,18 +278,16 @@ class TestInvariants:
             h = 1 + rng.below(8)
             p = random_params(rng, d, h)
             xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(6))]
-            for tr in unroll(p, xs):
-                assert np.all((tr.z > 0) & (tr.z < 1))
-                assert np.all((tr.r > 0) & (tr.r < 1))
-                assert np.all((tr.h_tilde > -1) & (tr.h_tilde < 1))
-                assert np.all((tr.h_new > -1) & (tr.h_new < 1))
+            tr = unroll(p, xs)
+            assert np.all((tr.zr > 0) & (tr.zr < 1))
+            assert np.all((tr.h_tilde > -1) & (tr.h_tilde < 1))
+            assert np.all((tr.h_new > -1) & (tr.h_new < 1))
 
     def test_long_sequence_stays_bounded(self):
         rng = SplitMix64(9)
         p = random_params(rng, 2, 3, scale=1.5)
         xs = [rng.uniforms(2, -3, 3) for _ in range(500)]
-        for tr in unroll(p, xs):
-            assert np.all(np.abs(tr.h_new) < 1)
+        assert np.all(np.abs(unroll(p, xs).h_new) < 1)
 
     def test_bptt_matches_finite_differences_50_configs(self):
         """Full-unroll gradient check across 50 random tiny configurations."""
@@ -245,8 +300,7 @@ class TestInvariants:
             p = random_params(rng, d, h)
             xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(4))]
             d_last = rng.uniforms(h, -1, 1)
-            traces = unroll(p, xs)
-            grads, d_xs, _ = rnn_backward(p, traces, d_last[None])
+            grads, d_xs, _ = rnn_backward(p, unroll(p, xs), d_last[None])
             eps = 1e-5
             for name, theta in p.tensors().items():
                 flat = theta.reshape(-1)
@@ -254,9 +308,9 @@ class TestInvariants:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + eps
-                    hi = float(d_last @ unroll(p, xs)[-1].h_new[0])
+                    hi = float(d_last @ unroll(p, xs).final[0])
                     flat[i] = orig - eps
-                    lo = float(d_last @ unroll(p, xs)[-1].h_new[0])
+                    lo = float(d_last @ unroll(p, xs).final[0])
                     flat[i] = orig
                     fd[i] = (hi - lo) / (2 * eps)
                 worst = max(worst, max_rel_err(grads[name].reshape(-1), fd))
@@ -265,9 +319,9 @@ class TestInvariants:
                 for i in range(d):
                     orig = x[i]
                     x[i] = orig + eps
-                    hi = float(d_last @ unroll(p, xs)[-1].h_new[0])
+                    hi = float(d_last @ unroll(p, xs).final[0])
                     x[i] = orig - eps
-                    lo = float(d_last @ unroll(p, xs)[-1].h_new[0])
+                    lo = float(d_last @ unroll(p, xs).final[0])
                     x[i] = orig
                     fd[i] = (hi - lo) / (2 * eps)
                 worst = max(worst, max_rel_err(d_xs[t], fd))
@@ -284,13 +338,13 @@ def test_rnn_backward_equals_stepwise_cell_backward():
         p = random_params(rng, d, h)
         xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(5))]
         d_last = rng.uniforms(h, -1, 1)
-        traces = unroll(p, xs)
-        grads, d_xs, d_h0 = rnn_backward(p, traces, d_last[None])
+        trace = unroll(p, xs)
+        grads, d_xs, d_h0 = rnn_backward(p, trace, d_last[None])
         ref = {name: np.zeros_like(arr) for name, arr in p.tensors().items()}
         d_h = d_last
-        ref_d_xs = [None] * len(traces)
-        for t in range(len(traces) - 1, -1, -1):
-            g, ref_d_xs[t], d_h = gru_backward(p, row(traces[t]), d_h)
+        ref_d_xs = [None] * len(trace)
+        for t in range(len(trace) - 1, -1, -1):
+            g, ref_d_xs[t], d_h = gru_backward(p, row(trace, t), d_h)
             for name in ref:
                 ref[name] += g[name]
         for name in ref:

@@ -382,7 +382,7 @@ class TestDropoutPlumbing:
         assert trace.mask is not None and trace.mask.shape == e_w.shape
         kept = trace.mask[0] != 0
         np.testing.assert_array_equal(
-            trace.top.fwd[0].x[0, kept],  # the first word-level input row
+            trace.top.fwd.x[0, kept],  # the first word-level input row
             (e_w[0] * trace.mask[0])[kept])
 
     def test_rate_zero_plan_is_identity(self):
@@ -411,11 +411,12 @@ class TestDropoutPlumbing:
 
         for tweets in (one, three):
             ys = np.array([0.2, -0.1, 0.3])[:len(tweets)]
+            units = [reg.unit_ids(tw) for tw in tweets]
 
             def loss():
-                return float(np.sum((reg.forward_many(tweets, plan())[0] - ys) ** 2))
+                return float(np.sum((reg.forward_units(units, plan())[0] - ys) ** 2))
 
-            y_hat, trace = reg.forward_many(tweets, plan())
+            y_hat, trace = reg.forward_units(units, plan())
             assert np.any(trace.pre_relu > 0)  # gradients reach below the head
             assert (trace.mask is not None) == (kind != ModelKind.BI_GRU_CHAR)
             for mask in (trace.mask, trace.sent_mask):

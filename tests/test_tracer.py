@@ -57,11 +57,14 @@ def test_install_patches_every_target_and_uninstall_restores(spans):
     finally:
         tracer.uninstall()
     assert [t[2] for t in _targets(spans)] == [t[2] for t in before]
-    calls = tracer.table(rounds=1)["spans"]
+    table = tracer.table(rounds=1)
+    calls = table["spans"]
     for name in ("model.forward", "model.backward", "model.flat_forward",
                  "model.flat_backward", "model.zero_grads", "gru.gru_forward",
                  "gru.rnn_unroll", "gru.rnn_backward", "gru.birnn_backward"):
         assert calls[name]["calls"] >= len(TRAINABLE_KINDS), name
+    # The flop counters read the arguments of gru_forward and rnn_backward.
+    assert table["counters"]["gru.gflop"] > 0
 
 
 def test_scoring_commands_run_through_the_traced_names(spans, tmp_path, monkeypatch, capsys):
@@ -87,5 +90,6 @@ def test_scoring_commands_run_through_the_traced_names(spans, tmp_path, monkeypa
     capsys.readouterr()
     calls = tracer.table(rounds=1)["spans"]
     for name in ("cli.main", "checkpoint.load", "data.build_tweets",
-                 "viz.select_extremes", "viz.pca_fit", "viz.export_scatter"):
+                 "viz.select_extremes", "viz.pca_fit", "viz.export_scatter",
+                 "gru.gru_forward"):  # trace-free scoring steps through gru_forward too
         assert calls[name]["calls"] >= 1, name

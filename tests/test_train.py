@@ -214,6 +214,30 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(ModelKind.C2W2S4PT, [], "ext", tiny_cfg())
 
+    def test_model_larger_than_physical_memory_refused_before_allocation(self, monkeypatch):
+        # Parameters, gradients and two Adam moments: 4 x 8 bytes per entry.
+        # init_params is replaced, so nothing of the model is ever allocated.
+        from math import prod
+
+        from traitgru.model import tensor_shapes
+
+        tweets = fixture_tweets()
+        cfg = tiny_cfg()
+        vocab = T.build_vocab_for(ModelKind.C2W2S4PT, tweets)
+        dims = T.model_dims(ModelKind.C2W2S4PT, cfg, vocab)
+        need = 32 * sum(prod(shape) for _, shape in tensor_shapes(ModelKind.C2W2S4PT, dims))
+
+        def not_allocated(*args, **kwargs):
+            raise RuntimeError("init_params reached")
+
+        monkeypatch.setattr(T, "init_params", not_allocated)
+        monkeypatch.setattr(T, "physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"needs {need} bytes .* has {need - 1} bytes"):
+            train(ModelKind.C2W2S4PT, tweets, "ext", cfg)
+        monkeypatch.setattr(T, "physical_memory", lambda: need)
+        with pytest.raises(RuntimeError, match="init_params reached"):
+            train(ModelKind.C2W2S4PT, tweets, "ext", cfg)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_step_names_trait_epoch_batch_and_tweet(self):
         # The first step moves every weight by about the learning rate, so
