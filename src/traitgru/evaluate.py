@@ -8,7 +8,7 @@ all held-out predictions; the mean of per-fold RMSEs is also reported.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .data import TRAITS, kfold_split
 from .model import ModelKind
@@ -114,6 +114,8 @@ def run_cv(kind: ModelKind, tweets, trait: str, k: int, level: str,
     kind = ModelKind(kind)
     if trait not in TRAITS:
         raise ValueError(f"unknown trait {trait!r}")
+    if cfg is None and kind != ModelKind.AVERAGE:
+        raise ValueError(f"cross-validating {kind.value} needs a training config, got None")
     plan = kfold_split(tweets, k, level, seed)
     all_preds = []
     fold_rmse = []
@@ -142,8 +144,6 @@ def run_cv(kind: ModelKind, tweets, trait: str, k: int, level: str,
             ]
         else:
             fold_seed = SplitMix64(seed).derive(f"fold{fold}").next_u64() % (2**31)
-            from dataclasses import replace
-
             fold_cfg = replace(cfg, seed=fold_seed)
             ckpt, _ = train(kind, tweets, trait, fold_cfg, plan, fold, validate=False)
             reg = ckpt.to_regressor()

@@ -68,10 +68,7 @@ class GruParams:
     """
 
     def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray):
-        h3, h = U.shape
-        if h3 != 3 * h or W.ndim != 2 or W.shape[0] != h3 or b.shape != (h3,):
-            raise ValueError(f"stacked shapes W {W.shape}, U {U.shape}, b {b.shape} "
-                             f"are not (3h x d), (3h x h), (3h)")
+        h = U.shape[1]
         self.W, self.U, self.b = W, U, b
         self.w_z, self.w_r, self.w_h = W[:h], W[h:2 * h], W[2 * h:]
         self.u_z, self.u_r, self.u_h = U[:h], U[h:2 * h], U[2 * h:]
@@ -87,11 +84,6 @@ class GruParams:
 
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict((name, getattr(self, name)) for name in TENSOR_NAMES)
-
-    @classmethod
-    def zeros(cls, input_size: int, hidden_size: int) -> "GruParams":
-        h, d = hidden_size, input_size
-        return cls(np.zeros((3 * h, d)), np.zeros((3 * h, h)), np.zeros(3 * h))
 
 
 @dataclass(slots=True)
@@ -122,17 +114,10 @@ class RnnTrace:
 
 @dataclass
 class BiRnnParams:
-    """Forward- and backward-direction parameter sets (shapes must match)."""
+    """Forward- and backward-direction parameter sets of the same shapes."""
 
     fwd: GruParams
     bwd: GruParams
-
-    def __post_init__(self):
-        if (self.fwd.input_size, self.fwd.hidden_size) != (self.bwd.input_size, self.bwd.hidden_size):
-            raise ValueError(
-                f"direction shape mismatch: fwd {self.fwd.input_size}x{self.fwd.hidden_size}, "
-                f"bwd {self.bwd.input_size}x{self.bwd.hidden_size}"
-            )
 
     @property
     def input_size(self) -> int:

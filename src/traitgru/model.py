@@ -24,10 +24,11 @@ The three kinds differ only in what SPECS holds for each: the embedding
 table and its width, the bi-GRU levels bottom-up, the vocabulary and
 where its units come from, and whether the top level's inputs take the
 word-site mask.  One ModelParams class holds any kind's tensors and is
-itself their read-only mapping of name to tensor, in the order the spec
-gives, which is the checkpoint order.  checkpoint.load fills a zero
-bundle from empty_params in place and Checkpoint.to_regressor uses that
-bundle as is, so a loaded model is never rebuilt or copied.
+itself their read-only mapping of name to tensor, in the checkpoint
+order.  empty_params lays them out once, as consecutive views of one
+float64 vector (flat); gradient and Adam moment vectors share that
+layout.  checkpoint.load fills a zero bundle in place and
+Checkpoint.to_regressor uses it as is, so a loaded model is never copied.
 
 Inverted dropout can be applied at two sites during training: to each
 row entering the top level (the composed word vectors, or the word
@@ -59,6 +60,7 @@ that an unroll takes before its time loop.  score and embedding stay the
 traced pass of one tweet, which the gradient checker probes.
 """
 
+import math
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -148,15 +150,6 @@ class MlpHead:
     w_hy: np.ndarray  # 1 x mlp_dim
     b_y: np.ndarray   # shape (1,)
 
-    def __post_init__(self):
-        m, _ = self.w_eh.shape
-        if self.b_h.shape != (m,):
-            raise ValueError(f"b_h shape {self.b_h.shape} != ({m},)")
-        if self.w_hy.shape != (1, m):
-            raise ValueError(f"w_hy shape {self.w_hy.shape} != (1, {m})")
-        if self.b_y.shape != (1,):
-            raise ValueError(f"b_y shape {self.b_y.shape} != (1,)")
-
     @property
     def in_dim(self) -> int:
         return self.w_eh.shape[1]
@@ -171,7 +164,8 @@ class MlpHead:
 class ModelParams(Mapping):
     """All tensors of one trainable kind: the embedding table (width x
     vocabulary), one bi-GRU per level of the kind's spec, bottom-up, and
-    the head.  The shape chain is validated level by level.
+    the head, each a view of the one vector flat (see empty_params, the
+    only constructor).
 
     The bundle is also the read-only mapping of tensor name to tensor, in
     the order the spec gives, which is the checkpoint order; each GRU
@@ -179,6 +173,8 @@ class ModelParams(Mapping):
     """
 
     kind: ModelKind
+    dims: dict
+    flat: np.ndarray
     table: np.ndarray
     levels: tuple  # BiRnnParams, one per spec level
     head: MlpHead
@@ -187,17 +183,6 @@ class ModelParams(Mapping):
 
     def __post_init__(self):
         self.spec = spec = spec_of(self.kind)
-        if len(self.levels) != len(spec.levels):
-            raise ValueError(f"{self.kind.value} has {len(spec.levels)} rnn levels, "
-                             f"got {len(self.levels)}")
-        need, what = self.table.shape[0], f"embedding dim {self.table.shape[0]}"
-        for (prefix, _), rnn in zip(spec.levels, self.levels):
-            level = prefix.rstrip("_")
-            if rnn.input_size != need:
-                raise ValueError(f"{level} rnn input {rnn.input_size} != {what}")
-            need, what = 2 * rnn.hidden_size, f"2 * {level} hidden {rnn.hidden_size}"
-        if self.head.in_dim != need:
-            raise ValueError(f"mlp input {self.head.in_dim} != {what}")
         self._named = {spec.table: self.table}
         for (prefix, _), rnn in zip(spec.levels, self.levels):
             self._named.update(rnn.tensors(prefix))
@@ -214,6 +199,11 @@ class ModelParams(Mapping):
 
     def tensors(self) -> "ModelParams":
         return self
+
+    def over(self, vec: np.ndarray) -> dict:
+        """The same layout over vec: each tensor name maps to the view of
+        vec at that tensor's place in flat."""
+        return dict(empty_params(self.kind, self.dims, vec))
 
 
 @dataclass
@@ -251,8 +241,9 @@ def mlp_backward(head: MlpHead, X: np.ndarray, pre: np.ndarray, d_y: np.ndarray,
     return d_pre @ head.w_eh
 
 
-def zero_grads(params: ModelParams) -> "OrderedDict[str, np.ndarray]":
-    return OrderedDict((k, np.zeros_like(v)) for k, v in params.items())
+def zero_grads(params: ModelParams) -> dict:
+    """A zero gradient for every tensor: the views of one zero vector."""
+    return params.over(np.zeros_like(params.flat))
 
 
 def _add_grads(grads: dict, prefix: str, delta: dict) -> None:
@@ -336,21 +327,33 @@ def tensor_shapes(kind: ModelKind, dims: dict) -> list:
     return shapes + [("w_eh", (m, width)), ("b_h", (m,)), ("w_hy", (1, m)), ("b_y", (1,))]
 
 
-def empty_params(kind: ModelKind, dims: dict) -> ModelParams:
-    """The kind's zero-filled bundle: its tensors are exactly the names and
-    shapes of tensor_shapes, in that order."""
+def empty_params(kind: ModelKind, dims: dict, flat: np.ndarray = None) -> ModelParams:
+    """The kind's bundle over one float64 vector, a new zero one unless
+    flat is given: its tensors are exactly the names and shapes of
+    tensor_shapes, in that order, and are consecutive views of the vector
+    at running offsets.  A direction's w_z, w_r, w_h run is its stacked W,
+    and likewise for U and b."""
     spec = spec_of(kind)
+    if flat is None:
+        flat = np.zeros(sum(math.prod(shape) for _, shape in tensor_shapes(kind, dims)))
+    at = 0
+
+    def take(*shape):
+        nonlocal at
+        lo, at = at, at + math.prod(shape)
+        return flat[lo:at].reshape(shape)
+
     width = dims[spec.table_dim]
-    table = np.zeros((width, dims["vocab_size"]))
+    table = take(width, dims["vocab_size"])
     levels = []
     for _, hidden_key in spec.levels:
         h = dims[hidden_key]
-        levels.append(BiRnnParams(GruParams.zeros(width, h), GruParams.zeros(width, h)))
+        levels.append(BiRnnParams(*(GruParams(take(3 * h, width), take(3 * h, h), take(3 * h))
+                                    for _ in ("fwd", "bwd"))))
         width = 2 * h
     m = dims["mlp_dim"]
-    head = MlpHead(w_eh=np.zeros((m, width)), b_h=np.zeros(m), w_hy=np.zeros((1, m)),
-                   b_y=np.zeros(1))
-    return ModelParams(ModelKind(kind), table, tuple(levels), head)
+    head = MlpHead(w_eh=take(m, width), b_h=take(m), w_hy=take(1, m), b_y=take(1))
+    return ModelParams(ModelKind(kind), dims, flat, table, tuple(levels), head)
 
 
 def projection_bytes(params: ModelParams, units: list) -> list:
@@ -439,8 +442,7 @@ class Regressor:
         d_y = np.array(d_y, dtype=np.float64).reshape(-1)
         if d_y.shape != (len(trace.e_s),):
             raise ValueError(f"{d_y.size} upstream gradients for a pack of {len(trace.e_s)}")
-        if grads is None:
-            grads = zero_grads(params)
+        grads = zero_grads(params) if grads is None else grads
         d_x = flat_backward(params, trace, d_y, grads)
         below = list(zip(params.spec.levels, params.levels, trace.lower))
         for (prefix, _), rnn, tr in reversed(below):

@@ -3,7 +3,10 @@
 Training is exactly reproducible: (seed, corpus, config) determine the
 checkpoint bit-for-bit.  Shuffling and dropout use independent streams
 derived from the master seed, so turning dropout off never perturbs the
-batch order.  Per-batch gradients are the mean over examples.
+batch order.  Per-batch gradients are the mean over examples.  They
+accumulate in one vector laid out like the parameters (see
+model.empty_params), zeroed in place per batch, and Adam updates the
+parameter vector from it and its two moment vectors in fixed slices.
 
 A mini-batch runs as consecutive packs of its tweets, in ascending
 example-index order: one forward and one backward pass per pack
@@ -37,7 +40,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab
 from .model import (DropoutPlan, ModelKind, Regressor, budgeted_chunks, empty_params,
-                    mse_loss, projection_bytes, spec_of, tensor_shapes, zero_grads)
+                    mse_loss, projection_bytes, spec_of, tensor_shapes)
 from .rng import SplitMix64
 
 # Bytes of the lowest level's input projection (see model.projection_bytes)
@@ -46,6 +49,11 @@ from .rng import SplitMix64
 # row against the projection's 3h, about 3.5 times the budget at d=50,
 # h=256, plus the levels above.
 PACK_BUDGET_BYTES = 1536 << 10
+
+# Entries that one Adam pass updates at a time.  Its temporaries are then
+# slice-sized: at paper dimensions a whole-vector pass allocates several
+# of 1.8 M floats each, and raised peak memory by 23 to 25 MB.
+ADAM_SLICE = 1 << 16
 
 
 @dataclass
@@ -161,16 +169,12 @@ def config_as_dict(cfg: TrainConfig) -> dict:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per tensor plus the step counter."""
+    """First and second moment estimates, one vector each laid out like
+    the parameter vector, plus the step counter."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-
-    @classmethod
-    def for_tensors(cls, tensors: dict) -> "AdamState":
-        return cls(m={k: np.zeros_like(a) for k, a in tensors.items()},
-                   v={k: np.zeros_like(a) for k, a in tensors.items()})
 
 
 @dataclass
@@ -222,25 +226,23 @@ def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
     return params
 
 
-def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
-    """One Adam update with bias correction, in place on the tensors."""
-    if set(tensors) != set(grads):
-        raise ValueError("gradient keys do not match parameter keys")
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update with bias correction, in place on the parameter
+    vector theta, from the gradient vector g, ADAM_SLICE entries at a time."""
+    if g.shape != theta.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
     state.t += 1
     b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.epsilon, cfg.learning_rate
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for k, theta in tensors.items():
-        g = grads[k]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {k}")
-        m = state.m[k]
-        v = state.v[k]
+    for lo in range(0, len(theta), ADAM_SLICE):
+        part = slice(lo, lo + ADAM_SLICE)
+        m, v, gs = state.m[part], state.v[part], g[part]
         m *= b1
-        m += (1.0 - b1) * g
+        m += (1.0 - b1) * gs
         v *= b2
-        v += (1.0 - b2) * g * g
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        v += (1.0 - b2) * gs * gs
+        theta[part] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def clip_gradients(grads: dict, clip_norm: float) -> float:
@@ -330,7 +332,9 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
                          f"{have} bytes of physical memory")
     params = init_params(kind, dims, cfg.seed, cfg.init_scheme)
     reg = Regressor(kind=kind, params=params, vocab=vocab)
-    adam = AdamState.for_tensors(params)
+    adam = AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    g = np.zeros_like(params.flat)
+    grads = params.over(g)
     shuffle_rng = SplitMix64(cfg.seed).derive("shuffle")
     dropout_rng = SplitMix64(cfg.seed).derive("dropout")
     dropout = None
@@ -350,7 +354,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
         sq_sum = 0.0
         for batch_no, batch in enumerate(_chunked(order, cfg.batch_size), start=1):
             batch = sorted(batch)
-            grads = zero_grads(reg.params)
+            g.fill(0.0)
             for lo, hi in budgeted_chunks([cost[i] for i in batch], PACK_BUDGET_BYTES):
                 pack = batch[lo:hi]
                 rng_before = copy.copy(dropout_rng)
@@ -367,7 +371,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
                     sq_sum += err * err
             if cfg.clip_norm is not None:
                 clip_gradients(grads, cfg.clip_norm)
-            adam_step(params, grads, adam, cfg)
+            adam_step(params.flat, g, adam, cfg)
         val_rmse = None
         if val_tweets and validate:
             try:
@@ -430,26 +434,23 @@ def check_gradients(reg: Regressor, tweet, y: float, eps: float = 1e-5,
     delta) perturbs one analytic gradient entry, as a sensitivity canary
     for the checker itself.
     """
+    theta, a = reg.params.flat, np.zeros_like(reg.params.flat)
     y_hat, trace = reg.forward(tweet)
-    analytic = reg.backward(trace, 2.0 * (y_hat - y))
+    analytic = reg.backward(trace, 2.0 * (y_hat - y), reg.params.over(a))
     if corrupt is not None:
         name, delta = corrupt
-        flat = analytic[name].reshape(-1)
-        flat[0] += delta
+        analytic[name].reshape(-1)[0] += delta
     worst = 0.0
-    for name, theta in reg.tensors().items():
-        a_flat = analytic[name].reshape(-1)
-        t_flat = theta.reshape(-1)
-        for i in range(t_flat.shape[0]):
-            orig = t_flat[i]
-            t_flat[i] = orig + eps
-            lo_hi = (reg.score(tweet) - y) ** 2
-            t_flat[i] = orig - eps
-            lo_lo = (reg.score(tweet) - y) ** 2
-            t_flat[i] = orig
-            numeric = (lo_hi - lo_lo) / (2.0 * eps)
-            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    for i in range(len(theta)):
+        orig = theta[i]
+        theta[i] = orig + eps
+        lo_hi = (reg.score(tweet) - y) ** 2
+        theta[i] = orig - eps
+        lo_lo = (reg.score(tweet) - y) ** 2
+        theta[i] = orig
+        numeric = (lo_hi - lo_lo) / (2.0 * eps)
+        denom = max(abs(a[i]), abs(numeric), 1e-8)
+        worst = max(worst, abs(a[i] - numeric) / denom)
     return worst
 
 

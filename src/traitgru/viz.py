@@ -9,6 +9,7 @@ writes a 2-D scatter.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,14 @@ _SVG_MARGIN = 50
 _COLORS = {"LOW": "#1f77b4", "HIGH": "#d62728"}
 
 
+# What XML 1.0 forbids even as a reference: the C0 controls other than
+# tab, newline and carriage return, the surrogates and U+FFFE/U+FFFF.
+_XML_FORBIDDEN = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _xml_escape(text: str) -> str:
+    """text as XML character data, each character XML 1.0 forbids as U+FFFD."""
+    text = _XML_FORBIDDEN.sub("\ufffd", text)
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace('"', "&quot;"))
 

@@ -1,3 +1,4 @@
+import math
 import struct
 from collections import OrderedDict
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from traitgru import checkpoint as C
 from traitgru.cli import main
 from traitgru.data import CharVocab, WordVocab, build_tweets, generate_fixture
-from traitgru.model import SPECS, ModelKind, empty_params, tensor_shapes
+from traitgru.model import SPECS, ModelKind, empty_params, tensor_shapes, zero_grads
 from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims, train
 
 
@@ -216,6 +217,38 @@ def test_every_bundle_holds_the_tensor_shapes_in_order(kind, tmp_path):
     for tensors in (empty_params(kind, dims).tensors(), params.tensors(),
                     C.load(path).tensors):
         assert [(name, arr.shape) for name, arr in tensors.items()] == want
+        assert tensors.flat.shape == (sum(math.prod(shape) for _, shape in want),)
+        assert_running_views(tensors.flat, tensors)
+        for (prefix, _), rnn in zip(tensors.spec.levels, tensors.levels):
+            for direction in ("fwd", "bwd"):
+                p = getattr(rnn, direction)
+                for stack, first in ((p.W, "w_z"), (p.U, "u_z"), (p.b, "b_z")):
+                    named = tensors[f"{prefix}{direction}.{first}"]
+                    assert offset_in(tensors.flat, stack) == offset_in(tensors.flat, named)
+                    assert stack.size == 3 * named.size
+    grads = zero_grads(params)
+    vec = grads[next(iter(grads))].base
+    assert vec.shape == params.flat.shape and not np.shares_memory(vec, params.flat)
+    assert [(name, arr.shape) for name, arr in grads.items()] == want
+    assert_running_views(vec, grads)
+    assert not vec.any()
+
+
+def offset_in(flat, arr) -> int:
+    """The index in flat of arr's first entry; arr must be a C-contiguous
+    view of flat."""
+    assert arr.flags.c_contiguous and np.shares_memory(arr, flat)
+    return (arr.ctypes.data - flat.ctypes.data) // flat.itemsize
+
+
+def assert_running_views(flat, tensors):
+    """Each tensor is the view of flat at its running offset, and together
+    they cover flat."""
+    at = 0
+    for name, arr in tensors.items():
+        assert offset_in(flat, arr) == at, name
+        at += arr.size
+    assert at == flat.size
 
 
 @pytest.mark.parametrize("kind", [ModelKind.C2W2S4PT, ModelKind.BI_GRU_WORD])

@@ -1,5 +1,6 @@
 import json
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -260,6 +261,20 @@ def test_visualize_csv_and_svg(workspace, capsys):
                    "--format", "svg", "--seed", "4"])
         assert rc == 0
     assert svg_a.read_bytes() == svg_b.read_bytes()
+
+
+def test_visualize_svg_parses_with_control_characters_in_the_data(workspace):
+    tmp_path, cfg_path, data_path = workspace
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    data_path.write_text("".join(ln.replace(" ", " \x01", 1) + "\n" for ln in lines),
+                         encoding="utf-8")
+    model, out = tmp_path / "model.ckpt", tmp_path / "ctl.svg"
+    assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+                 "--config", str(cfg_path), "--seed", "5", "--out", str(model)]) == 0
+    assert main(["visualize", "--model", str(model), "--data", str(data_path),
+                 "--trait", "ext", "--n", "3", "--out", str(out), "--format", "svg"]) == 0
+    titles = [t.text for t in ET.parse(out).iter("{http://www.w3.org/2000/svg}title")]
+    assert len(titles) == 6 and all("\ufffd" in t for t in titles)
 
 
 def test_gradcheck_exit_codes(capsys):

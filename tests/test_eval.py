@@ -184,6 +184,12 @@ class TestRunCv:
         with pytest.raises(ValueError):
             run_cv(ModelKind.AVERAGE, self.fixture(), "charm", 5, "tweet", seed=0)
 
+    @pytest.mark.parametrize("kind", [ModelKind.C2W2S4PT, ModelKind.BI_GRU_CHAR,
+                                      ModelKind.BI_GRU_WORD])
+    def test_trainable_kind_without_a_config_rejected(self, kind):
+        with pytest.raises(ValueError, match="needs a training config"):
+            run_cv(kind, self.fixture(), "ext", 4, "tweet", seed=0)
+
 
 class TestReports:
     def test_csv_row_counts(self):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
-from traitgru.gru import BiRnnParams, GruParams, birnn_forward, birnn_output
-from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, ModelParams,
-                            Regressor, mlp_forward, mse_loss)
+from traitgru.gru import birnn_forward, birnn_output
+from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, Regressor,
+                            empty_params, mlp_forward, mse_loss)
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
@@ -32,6 +32,23 @@ def tiny_regressor(tweets, kind=ModelKind.C2W2S4PT, seed=0, **sizes):
                       dropout_rate=0.0, seed=seed)
     dims = model_dims(kind, cfg, vocab)
     return Regressor(kind=kind, params=init_params(kind, dims, seed), vocab=vocab)
+
+
+def scalar_model(e_c):
+    """A zero C2W2S4PT bundle from empty_params at width 1 everywhere, its
+    table set to the one-row e_c."""
+    params = empty_params(ModelKind.C2W2S4PT, {"char_dim": 1, "char_hidden": 1,
+                                               "word_hidden": 1, "mlp_dim": 1,
+                                               "vocab_size": e_c.shape[1]})
+    params.table[...] = e_c
+    return params
+
+
+def fill_gru(p, w, u, b):
+    """Sets one direction's stacked views to per-gate rows (z, r, h)."""
+    p.W[...] = np.vstack(w)
+    p.U[...] = np.vstack(u)
+    p.b[...] = b
 
 
 def head_score(head, x):
@@ -80,17 +97,9 @@ class TestComposeWord:
         w_f, u_f, b_f = (0.5, -0.7, 0.9), (0.2, 0.3, -0.4), (0.1, 0.0, -0.1)
         w_b, u_b, b_b = (-0.6, 0.8, 0.4), (0.5, -0.2, 0.1), (0.0, 0.2, 0.3)
 
-        def gp(w, u, b):
-            return GruParams(np.vstack([[w[0]], [w[1]], [w[2]]]),
-                             np.vstack([[u[0]], [u[1]], [u[2]]]), np.array(b, dtype=float))
-
-        params = ModelParams(
-            ModelKind.C2W2S4PT, e_c,
-            (BiRnnParams(gp(w_f, u_f, b_f), gp(w_b, u_b, b_b)),
-             BiRnnParams(GruParams.zeros(2, 1), GruParams.zeros(2, 1))),
-            MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
-                    w_hy=np.zeros((1, 1)), b_y=np.zeros(1)),
-        )
+        params = scalar_model(e_c)
+        fill_gru(params.levels[0].fwd, w_f, u_f, b_f)
+        fill_gru(params.levels[0].bwd, w_b, u_b, b_b)
         xs = [0.3, -0.4]  # embeddings of "a", "b"
         h = 0.0
         for x in xs:
@@ -140,17 +149,11 @@ class TestEncodeSentence:
         ww_f = ([0.3, -0.4], [0.2, 0.1], [-0.5, 0.3]), (0.2, -0.2, 0.4), (0.05, -0.05, 0.0)
         ww_b = ([-0.2, 0.5], [0.4, -0.3], [0.1, 0.2]), (-0.1, 0.3, 0.2), (0.0, 0.1, -0.2)
 
-        def gp(spec, d):
-            (w, u, b) = spec
-            return GruParams(np.vstack([w[0], w[1], w[2]]),
-                             np.vstack([[u[0]], [u[1]], [u[2]]]), np.array(b, dtype=float))
-
-        params = ModelParams(
-            ModelKind.C2W2S4PT, e_c,
-            (BiRnnParams(gp(cw_f, 1), gp(cw_b, 1)), BiRnnParams(gp(ww_f, 2), gp(ww_b, 2))),
-            MlpHead(w_eh=np.zeros((1, 2)), b_h=np.zeros(1),
-                    w_hy=np.zeros((1, 1)), b_y=np.zeros(1)),
-        )
+        params = scalar_model(e_c)
+        for p, spec in zip((params.levels[0].fwd, params.levels[0].bwd,
+                            params.levels[1].fwd, params.levels[1].bwd),
+                           (cw_f, cw_b, ww_f, ww_b)):
+            fill_gru(p, *spec)
 
         def compose(word):
             xs = [e_c[0, vocab.id_of(c)] for c in word]
@@ -328,16 +331,6 @@ class TestUnitIds:
 
 
 class TestInvariants:
-    def test_dimension_chain_enforced(self):
-        with pytest.raises(ValueError, match="word rnn input"):
-            ModelParams(
-                ModelKind.C2W2S4PT, np.zeros((2, 3)),
-                (BiRnnParams(GruParams.zeros(2, 2), GruParams.zeros(2, 2)),
-                 BiRnnParams(GruParams.zeros(3, 2), GruParams.zeros(3, 2))),
-                MlpHead(w_eh=np.zeros((2, 4)), b_h=np.zeros(2),
-                        w_hy=np.zeros((1, 2)), b_y=np.zeros(1)),
-            )
-
     def test_forward_deterministic_bitwise(self):
         reg = tiny_regressor([mk_tweet("ab cd ef")], seed=21)
         tweet = mk_tweet("ab cd")
@@ -355,14 +348,12 @@ class TestInvariants:
         old = reg.vocab.char_to_id
         new_vocab = CharVocab({ch: perm[ch] for ch in old})
         e_c = reg.params.table
-        permuted = np.empty_like(e_c)
+        params = empty_params(ModelKind.C2W2S4PT, reg.params.dims)
+        params.flat[...] = reg.params.flat
         for ch, old_id in old.items():
-            permuted[:, perm[ch]] = e_c[:, old_id]
-        permuted[:, new_vocab.unk_id] = e_c[:, reg.vocab.unk_id]
-        reg2 = Regressor(ModelKind.C2W2S4PT,
-                         ModelParams(ModelKind.C2W2S4PT, permuted, reg.params.levels,
-                                     reg.params.head),
-                         new_vocab)
+            params.table[:, perm[ch]] = e_c[:, old_id]
+        params.table[:, new_vocab.unk_id] = e_c[:, reg.vocab.unk_id]
+        reg2 = Regressor(ModelKind.C2W2S4PT, params, new_vocab)
         assert reg2.score(tweet) == baseline
 
     def test_twenty_random_tiny_instances_gradient_check(self):

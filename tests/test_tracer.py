@@ -67,6 +67,25 @@ def test_install_patches_every_target_and_uninstall_restores(spans):
     assert table["counters"]["gru.gflop"] > 0
 
 
+def test_training_runs_through_the_traced_adam_and_init(spans):
+    # The per-layer Adam and initialization metrics of a traced training
+    # round read these spans; the gradient vector is zeroed in place, so
+    # model.zero_grads is not among them.
+    tweets = [Tweet("u1", "ab c", ("ab", "c"), TraitScores(0.1, 0, 0, 0, 0)),
+              Tweet("u2", "de", ("de",), TraitScores(-0.1, 0, 0, 0, 0))]
+    cfg = TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2, epochs=1, batch_size=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # Looked up at call time, as the CLI does, so the patched function runs.
+        importlib.import_module("traitgru.train").train(TRAINABLE_KINDS[0], tweets, "ext", cfg)
+    finally:
+        tracer.uninstall()
+    calls = tracer.table(rounds=1)["spans"]
+    for name in ("train.train", "train.init_params", "train.adam_step"):
+        assert calls[name]["calls"] >= 1, name
+
+
 def test_scoring_commands_run_through_the_traced_names(spans, tmp_path, monkeypatch, capsys):
     # The spans a traced score-paper run books its time to.
     data_path, cfg_path, model = tmp_path / "d.tsv", tmp_path / "t.cfg", tmp_path / "m.ckpt"

@@ -119,42 +119,60 @@ class TestDropout:
             DropoutPlan(1.0, SplitMix64(1))
 
 
+def adam_for(theta):
+    return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
-        tensors = {"w": np.array([1.0, 2.0])}
-        state = AdamState.for_tensors(tensors)
-        adam_step(tensors, {"w": np.zeros(2)}, state, TrainConfig())
-        np.testing.assert_array_equal(tensors["w"], [1.0, 2.0])
+        w = np.array([1.0, 2.0])
+        adam_step(w, np.zeros(2), adam_for(w), TrainConfig())
+        np.testing.assert_array_equal(w, [1.0, 2.0])
 
     def test_first_step_closed_form(self):
         # m_hat = g, v_hat = g^2, so the first step is -lr / (1 + eps)
-        tensors = {"w": np.array([0.0])}
-        state = AdamState.for_tensors(tensors)
+        w = np.array([0.0])
         cfg = TrainConfig(learning_rate=1e-3)
-        adam_step(tensors, {"w": np.array([1.0])}, state, cfg)
-        np.testing.assert_allclose(tensors["w"][0], -9.99999e-4, atol=1e-9)
-        np.testing.assert_allclose(tensors["w"][0], -1e-3 / (1 + 1e-8), atol=1e-15)
+        adam_step(w, np.array([1.0]), adam_for(w), cfg)
+        np.testing.assert_allclose(w[0], -9.99999e-4, atol=1e-9)
+        np.testing.assert_allclose(w[0], -1e-3 / (1 + 1e-8), atol=1e-15)
 
     def test_first_step_opposes_gradient_sign(self):
         rng = SplitMix64(4)
         g = rng.uniforms(20, -1, 1)
         g[np.abs(g) < 1e-3] = 0.5
-        tensors = {"w": np.zeros(20)}
-        state = AdamState.for_tensors(tensors)
-        adam_step(tensors, {"w": g}, state, TrainConfig())
-        assert np.all(np.sign(tensors["w"]) == -np.sign(g))
+        w = np.zeros(20)
+        adam_step(w, g, adam_for(w), TrainConfig())
+        assert np.all(np.sign(w) == -np.sign(g))
 
     def test_lr_zero_identity(self):
-        tensors = {"w": np.array([3.0])}
-        state = AdamState.for_tensors(tensors)
-        adam_step(tensors, {"w": np.array([5.0])}, state, TrainConfig(learning_rate=0.0))
-        assert tensors["w"][0] == 3.0
+        w = np.array([3.0])
+        adam_step(w, np.array([5.0]), adam_for(w), TrainConfig(learning_rate=0.0))
+        assert w[0] == 3.0
 
     def test_shape_mismatch_rejected(self):
-        tensors = {"w": np.zeros(2)}
-        state = AdamState.for_tensors(tensors)
+        w = np.zeros(2)
         with pytest.raises(ValueError):
-            adam_step(tensors, {"w": np.zeros(3)}, state, TrainConfig())
+            adam_step(w, np.zeros(3), adam_for(w), TrainConfig())
+
+    def test_sliced_update_equals_a_whole_vector_update(self, monkeypatch):
+        # 2 x ADAM_SLICE + 3 entries: two full slices and a short last one.
+        n = 2 * T.ADAM_SLICE + 3
+        rng = np.random.default_rng(7)
+        cfg = TrainConfig(learning_rate=0.01)
+        sliced = rng.standard_normal(n)
+        whole = sliced.copy()
+        sliced_state, whole_state = adam_for(sliced), adam_for(whole)
+        for _ in range(3):
+            g = rng.standard_normal(n)
+            adam_step(sliced, g, sliced_state, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(T, "ADAM_SLICE", n)
+                adam_step(whole, g, whole_state, cfg)
+            assert sliced.tobytes() == whole.tobytes()
+            assert sliced_state.m.tobytes() == whole_state.m.tobytes()
+            assert sliced_state.v.tobytes() == whole_state.v.tobytes()
+        assert sliced_state.t == whole_state.t == 3
 
 
 def tiny_cfg(**kw):
@@ -349,25 +367,28 @@ def test_clip_gradients():
 
 def test_clipping_then_two_adam_steps_match_a_hand_computed_update():
     cfg = TrainConfig(learning_rate=0.1, beta1=0.5, beta2=0.75, epsilon=0.01)
-    tensors = {"a": np.array([1.0, -2.0]), "b": np.array([0.5])}
-    state = AdamState.for_tensors(tensors)
+    theta = np.array([1.0, -2.0, 0.5])
+    tensors = {"a": theta[:2], "b": theta[2:]}
+    state = adam_for(theta)
     # Step 1: the norm of (3, -4, 12) is 13, clipped to 6.5, so g = (1.5, -2, 6).
-    grads = {"a": np.array([3.0, -4.0]), "b": np.array([12.0])}
+    g = np.array([3.0, -4.0, 12.0])
+    grads = {"a": g[:2], "b": g[2:]}
     assert T.clip_gradients(grads, clip_norm=6.5) == pytest.approx(13.0)
     np.testing.assert_allclose(grads["a"], [1.5, -2.0], rtol=1e-15)
     np.testing.assert_allclose(grads["b"], [6.0], rtol=1e-15)
-    adam_step(tensors, grads, state, cfg)
+    adam_step(theta, g, state, cfg)
     # m = 0.5 g, v = 0.25 g^2; corrected by 1 - 0.5 and 1 - 0.75, the step
     # is lr * g / (|g| + eps).
     np.testing.assert_allclose(tensors["a"], [1.0 - 0.1 * 1.5 / 1.51, -2.0 + 0.1 * 2.0 / 2.01],
                                rtol=1e-14)
     np.testing.assert_allclose(tensors["b"], [0.5 - 0.1 * 6.0 / 6.01], rtol=1e-14)
     # Step 2: the norm of (1, 0, 0) is 1, under the bound, so g is unchanged.
-    grads = {"a": np.array([1.0, 0.0]), "b": np.array([0.0])}
+    g = np.array([1.0, 0.0, 0.0])
+    grads = {"a": g[:2], "b": g[2:]}
     assert T.clip_gradients(grads, clip_norm=6.5) == 1.0
     np.testing.assert_array_equal(grads["a"], [1.0, 0.0])
     before = {k: v.copy() for k, v in tensors.items()}
-    adam_step(tensors, grads, state, cfg)
+    adam_step(theta, g, state, cfg)
     # m2 = 0.5 m1 + 0.5 g2 and v2 = 0.75 v1 + 0.25 g2^2, bias-corrected by
     # 1 - 0.5^2 = 0.75 and 1 - 0.75^2 = 0.4375: (m2, v2) is (0.875, 0.671875)
     # for a[0], (-0.5, 0.75) for a[1] and (1.5, 6.75) for b.

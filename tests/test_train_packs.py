@@ -17,8 +17,7 @@ import pytest
 from traitgru import checkpoint as C
 from traitgru import train as T
 from traitgru.data import build_tweets, generate_fixture
-from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, Regressor, projection_bytes,
-                            zero_grads)
+from traitgru.model import TRAINABLE_KINDS, DropoutPlan, Regressor, projection_bytes
 from traitgru.rng import SplitMix64
 from traitgru.train import (AdamState, TrainConfig, adam_step, build_vocab_for, clip_gradients,
                             config_as_dict, init_params, model_dims, train)
@@ -33,7 +32,7 @@ def per_tweet_train(kind, tweets, trait, cfg, on_epoch):
     dims = model_dims(kind, cfg, vocab)
     params = init_params(kind, dims, cfg.seed, cfg.init_scheme)
     reg = Regressor(kind, params, vocab)
-    adam = AdamState.for_tensors(params)
+    adam = AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
     shuffle_rng = SplitMix64(cfg.seed).derive("shuffle")
     dropout_rng = SplitMix64(cfg.seed).derive("dropout")
     ys = [tw.traits.get(trait) for tw in tweets]
@@ -44,7 +43,8 @@ def per_tweet_train(kind, tweets, trait, cfg, on_epoch):
         sq_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = sorted(order[lo:lo + cfg.batch_size])
-            grads = zero_grads(params)
+            g = np.zeros_like(params.flat)
+            grads = params.over(g)
             inv = 1.0 / len(batch)
             for i in batch:
                 dp = DropoutPlan(cfg.dropout_rate, dropout_rng, cfg.dropout_words,
@@ -54,7 +54,7 @@ def per_tweet_train(kind, tweets, trait, cfg, on_epoch):
                 sq_sum += err * err
                 reg.backward(trace, 2.0 * err * inv, grads)
             clip_gradients(grads, cfg.clip_norm)
-            adam_step(params, grads, adam, cfg)
+            adam_step(params.flat, g, adam, cfg)
         losses.append(sq_sum / len(tweets))
         on_epoch(dropout_rng)
     ckpt = C.Checkpoint(kind=kind, dims=dims, vocab=vocab, config=config_as_dict(cfg),

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,14 @@ class TestExport:
         export_scatter(pts, path, "svg")
         svg = path.read_text(encoding="utf-8")
         assert "<b>" not in svg and "&lt;b&gt;" in svg
+
+    def test_svg_replaces_characters_xml_forbids(self, tmp_path):
+        text = "a\x01b\x1f c\x7f\ud800\ufffe\tz"
+        path = tmp_path / "ctl.svg"
+        export_scatter([ScatterPoint(0.0, 0.0, "LOW", text)], path, "svg")
+        root = ET.parse(path).getroot()
+        title = root.find(".//{http://www.w3.org/2000/svg}title")
+        assert title.text == "a\ufffdb\ufffd c\x7f\ufffd\ufffd\tz"
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
