@@ -56,8 +56,12 @@ Scoring without gradients (Regressor.score_many, behind predict,
 visualize, cross-validation's held-out folds and the per-epoch
 validation) keeps no traces, so its chunks may be larger: a chunk's size
 is bounded by SCORE_BUDGET_BYTES, the memory of the input projection
-that an unroll takes before its time loop.  score and embedding stay the
-traced pass of one tweet, which the gradient checker probes.
+that an unroll takes before its time loop.  Its walk, final_rows and
+mlp_forward, also runs many parameter vectors at once: empty_params over
+a (P, n) matrix stacks P bundles on a leading axis, and every tensor,
+row and score of the walk gains that axis.  The gradient checker scores
+its perturbed copies of a model that way.  score and embedding stay the
+traced pass of one tweet.
 """
 
 import math
@@ -152,7 +156,7 @@ class MlpHead:
 
     @property
     def in_dim(self) -> int:
-        return self.w_eh.shape[1]
+        return self.w_eh.shape[-1]
 
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict(
@@ -221,9 +225,10 @@ class Trace:
 
 def mlp_forward(head: MlpHead, X: np.ndarray):
     """The head's score of each row of X, one product per layer; returns
-    (scores, hidden pre-activations)."""
-    pre = require_finite("mlp head", X @ head.w_eh.T) + head.b_h
-    y = np.maximum(pre, 0.0) @ head.w_hy[0] + head.b_y[0]
+    (scores, hidden pre-activations).  A stacked head scores a stack of
+    rows per parameter set."""
+    pre = require_finite("mlp head", X @ head.w_eh.mT) + head.b_h[..., None, :]
+    y = (np.maximum(pre, 0.0) @ head.w_hy.mT)[..., 0] + head.b_y
     if not np.isfinite(y).all():
         raise FloatingPointError("mlp head produced a non-finite score")
     return y, pre
@@ -332,7 +337,11 @@ def empty_params(kind: ModelKind, dims: dict, flat: np.ndarray = None) -> ModelP
     flat is given: its tensors are exactly the names and shapes of
     tensor_shapes, in that order, and are consecutive views of the vector
     at running offsets.  A direction's w_z, w_r, w_h run is its stacked W,
-    and likewise for U and b."""
+    and likewise for U and b.
+
+    Over a C-contiguous (P, n) matrix, one parameter vector per row, the
+    bundle is P bundles stacked on a leading axis: each tensor is the
+    (P, *shape) view of its columns."""
     spec = spec_of(kind)
     if flat is None:
         flat = np.zeros(sum(math.prod(shape) for _, shape in tensor_shapes(kind, dims)))
@@ -341,7 +350,7 @@ def empty_params(kind: ModelKind, dims: dict, flat: np.ndarray = None) -> ModelP
     def take(*shape):
         nonlocal at
         lo, at = at, at + math.prod(shape)
-        return flat[lo:at].reshape(shape)
+        return flat[..., lo:at].reshape(flat.shape[:-1] + shape)
 
     width = dims[spec.table_dim]
     table = take(width, dims["vocab_size"])
@@ -386,6 +395,18 @@ def _joined(units: list):
     if units[0][1] is None:
         return ids, None, [len(u) for u, _ in units]
     return ids, [n for _, ls in units for n in ls], [len(ls) for _, ls in units]
+
+
+def final_rows(params: ModelParams, units: list) -> np.ndarray:
+    """The sentence vectors of a pack of tweets given by their unit_ids,
+    one row per tweet in their order: the walk of Regressor.forward_units
+    without dropout and without traces.  A stacked bundle (see
+    empty_params) gives a stack of rows per parameter set."""
+    ids, lengths, rows = _joined(units)
+    x = params.table.mT[..., ids, :]
+    for rnn in params.levels[:-1]:
+        x = birnn_final(rnn, x, lengths)
+    return birnn_final(params.levels[-1], x, rows)
 
 
 @dataclass
@@ -464,11 +485,7 @@ class Regressor:
         units = [self.unit_ids(tw) for tw in tweets]
         E = np.empty((len(units), 2 * params.levels[-1].hidden_size))
         for lo, hi in budgeted_chunks(projection_bytes(params, units), SCORE_BUDGET_BYTES):
-            ids, lengths, rows = _joined(units[lo:hi])
-            x = params.table.T[ids]
-            for rnn in params.levels[:-1]:
-                x = birnn_final(rnn, x, lengths)
-            E[lo:hi] = birnn_final(params.levels[-1], x, rows)
+            E[lo:hi] = final_rows(params, units[lo:hi])
         return mlp_forward(params.head, E)[0], E
 
     def score(self, tweet) -> float:

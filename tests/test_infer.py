@@ -193,3 +193,25 @@ def test_predict_stdin_prints_na_in_place(tmp_path, capsys, monkeypatch):
     for i in (0, 2, 5):
         assert main(["predict", "--model", str(path), "--text", lines[i]]) == 0
         assert abs(float(capsys.readouterr().out) - float(out[i])) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+def test_final_rows_over_a_stack_equals_each_members_score_many(kind):
+    # Four parameter vectors, the rows of one matrix, run the walk at once;
+    # each member's sentence vectors and scores are its own score_many's,
+    # bit for bit.
+    reg = regressor(kind)
+    dims = reg.params.dims
+    stack = np.stack([regressor(kind, seed=s).params.flat for s in (4, 5, 6, 7)])
+    stacked = M.empty_params(kind, dims, stack)
+    for name, view in stacked.items():
+        assert view.shape == (4, *reg.params[name].shape)
+        assert np.shares_memory(view, stack), name
+    rows = M.final_rows(stacked, [reg.unit_ids(tw) for tw in TWEETS])
+    scores = mlp_forward(stacked.head, rows)[0]
+    assert rows.shape == (4, len(TWEETS), 2 * dims[reg.params.spec.levels[-1][1]])
+    for vec, member_rows, member_scores in zip(stack, rows, scores):
+        member = Regressor(kind, M.empty_params(kind, dims, vec), reg.vocab)
+        want_scores, want_rows = member.score_many(TWEETS)
+        assert member_rows.tobytes() == want_rows.tobytes()
+        assert member_scores.tobytes() == want_scores.tobytes()

@@ -112,3 +112,20 @@ def test_scoring_commands_run_through_the_traced_names(spans, tmp_path, monkeypa
                  "viz.select_extremes", "viz.pca_fit", "viz.export_scatter",
                  "gru.gru_forward"):  # trace-free scoring steps through gru_forward too
         assert calls[name]["calls"] >= 1, name
+
+
+def test_gradcheck_runs_under_the_tracer(spans, capsys):
+    # The probes' stacked walk steps past gru_forward, whose flop counter
+    # reads a 2-D W; the analytic pass still steps through it.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for kind in TRAINABLE_KINDS:
+            assert cli.main(["gradcheck", "--model-kind", kind.value, "--trials", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    table = tracer.table(rounds=1)
+    assert table["spans"]["train.check_gradients"]["calls"] == 2 * len(TRAINABLE_KINDS)
+    assert table["spans"]["gru.gru_forward"]["calls"] >= 1
+    assert table["counters"]["gru.gflop"] > 0

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from traitgru import cli
 from traitgru import train as T
 from traitgru.data import build_tweets, generate_fixture
 from traitgru.model import TRAINABLE_KINDS, DropoutPlan, ModelKind
@@ -355,6 +358,129 @@ class TestGradCheck:
     def test_average_kind_rejected(self):
         with pytest.raises(ValueError):
             grad_check(ModelKind.AVERAGE, n_trials=1)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_corruption_reads_nan(self, delta):
+        # max() over Python floats drops a NaN comparison; the checker must not.
+        reg, tweet, y = default_instances(ModelKind.C2W2S4PT, 1)[0]
+        assert check_gradients(reg, tweet, y) < 1e-4
+        assert math.isnan(check_gradients(reg, tweet, y, corrupt=("w_eh", delta)))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_a_non_finite_instance_fails_the_command(self, delta, monkeypatch, capsys):
+        # The second of three instances reads NaN; the later, finite one
+        # must not hide it.
+        real, calls = T.check_gradients, []
+
+        def second_corrupted(reg, tweet, y, eps):
+            calls.append(1)
+            return real(reg, tweet, y, eps,
+                        corrupt=("w_eh", delta) if len(calls) == 2 else None)
+
+        monkeypatch.setattr(T, "check_gradients", second_corrupted)
+        assert cli.main(["gradcheck", "--trials", "3"]) == 1
+        assert len(calls) == 3
+        assert capsys.readouterr().out == "max relative error: nan\n"
+
+    def test_probes_leave_the_model_untouched(self):
+        reg, tweet, y = default_instances(ModelKind.C2W2S4PT, 1)[0]
+        before = reg.params.flat.tobytes()
+        assert check_gradients(reg, tweet, y) < 1e-4
+        assert reg.params.flat.tobytes() == before
+        with pytest.raises(FloatingPointError, match="overflow"):
+            check_gradients(reg, tweet, y, eps=1e300)
+        assert reg.params.flat.tobytes() == before
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+    def test_stacked_probe_scores_equal_traced_scores_bit_for_bit(self, kind, monkeypatch):
+        # Chunks of the default budget, of one probe pair and of three
+        # pairs with an uneven last chunk; every tensor group compared.
+        reg, tweet, _ = default_instances(kind, 1)[0]
+        n, eps = len(reg.params.flat), 1e-5
+        assert n % 3
+        want = scored_one_at_a_time(reg, tweet, eps)
+        # Entry ranges of the table, each level's directions and the head's tensors.
+        ends = np.cumsum([view.size for view in reg.params.values()])
+        groups = {}
+        for name, lo, hi in zip(reg.params, [0, *ends[:-1]], ends):
+            group = name.split(".")[0]
+            groups[group] = (groups.get(group, (lo,))[0], hi)
+        spec = reg.params.spec
+        levels = [prefix + d for prefix, _ in spec.levels for d in ("fwd", "bwd")]
+        assert list(groups) == [spec.table, *levels, "w_eh", "b_h", "w_hy", "b_y"]
+        rows, final_rows = [], T.final_rows
+
+        def spy(params, units):
+            rows.append(len(params.flat))
+            return final_rows(params, units)
+
+        monkeypatch.setattr(T, "final_rows", spy)
+        for pairs, sizes in ((None, None), (1, [2] * n), (3, [6] * (n // 3) + [2 * (n % 3)])):
+            if pairs is not None:
+                monkeypatch.setattr(T, "PROBE_BUDGET_BYTES", pairs * 2 * reg.params.flat.nbytes)
+            rows.clear()
+            got = T.probe_scores(reg, tweet, eps)
+            assert sizes is None or rows == sizes
+            assert sum(rows) == 2 * n
+            for group, (lo, hi) in groups.items():
+                assert (got[2 * lo:2 * hi].view(np.int64)
+                        == want[2 * lo:2 * hi].view(np.int64)).all(), (pairs, group)
+
+    def test_check_gradients_scores_two_probes_per_entry(self, monkeypatch):
+        reg, tweet, y = default_instances(ModelKind.C2W2S4PT, 1)[0]
+        passes = count_passes(monkeypatch)
+        check_gradients(reg, tweet, y)
+        assert passes == {"forward": 1, "probes": 2 * len(reg.params.flat)}
+
+    @pytest.mark.parametrize("kind, want", [("c2w2s4pt", 4160), ("bigru-char", 1982),
+                                            ("bigru-word", 1882)])
+    def test_five_default_instances_take_the_benchmarks_passes(self, kind, want, monkeypatch):
+        # perfbench's Gradcheck.PASSES: per instance, the target's score,
+        # the analytic pass and two probes per parameter entry.
+        sizes = [len(reg.params.flat) for reg, _, _ in default_instances(kind, 5)]
+        passes = count_passes(monkeypatch)
+        assert grad_check(kind, n_trials=5) < 1e-4
+        assert sum(passes.values()) == sum(2 * n + 2 for n in sizes) == want
+
+
+def default_instances(kind, n):
+    """The first n instances of the default gradcheck (seed 20240)."""
+    rng = SplitMix64(20240).derive("gradcheck")
+    return [T._random_tiny_instance(kind, rng) for _ in range(n)]
+
+
+def scored_one_at_a_time(reg, tweet, eps):
+    """probe_scores by writing each probe into the model's vector and
+    scoring it with the traced Regressor.score."""
+    theta = reg.params.flat
+    out = np.empty(2 * len(theta))
+    for i in range(len(theta)):
+        orig = theta[i]
+        theta[i] = orig + eps
+        out[2 * i] = reg.score(tweet)
+        theta[i] = orig - eps
+        out[2 * i + 1] = reg.score(tweet)
+        theta[i] = orig
+    return out
+
+
+def count_passes(monkeypatch) -> dict:
+    """Counts Regressor.forward calls and the parameter vectors of every
+    stacked probe walk from now on."""
+    passes = {"forward": 0, "probes": 0}
+    forward, final_rows = T.Regressor.forward, T.final_rows
+
+    def counted_forward(self, *args, **kwargs):
+        passes["forward"] += 1
+        return forward(self, *args, **kwargs)
+
+    def counted_rows(params, units):
+        passes["probes"] += len(params.flat)
+        return final_rows(params, units)
+
+    monkeypatch.setattr(T.Regressor, "forward", counted_forward)
+    monkeypatch.setattr(T, "final_rows", counted_rows)
+    return passes
 
 
 def test_clip_gradients():
