@@ -119,7 +119,7 @@ def _header_fields(header_bytes: bytes):
         dims = header["dims"]
         config = header["train_config"]
         shapes = tensor_shapes(kind, dims)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
     for name, shape in shapes:
         if not all(type(n) is int and n >= 1 for n in shape):

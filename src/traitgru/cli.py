@@ -113,7 +113,7 @@ def cmd_predict(args) -> int:
     if args.text is not None:
         lines = [args.text]
     else:
-        lines = sys.stdin.read().splitlines()
+        lines = data_mod.split_lines(sys.stdin.read())
     no_traits = data_mod.TraitScores(0, 0, 0, 0, 0)
     per_line = [data_mod.build_tweets([data_mod.RawRecord("stdin", line, no_traits)])[0]
                 for line in lines]

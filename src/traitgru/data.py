@@ -242,6 +242,14 @@ def build_word_vocab(tweets) -> WordVocab:
     return WordVocab(word_to_id)
 
 
+def split_lines(text: str) -> list:
+    """The lines of text without their ends, broken only at \\n, \\r\\n
+    and \\r as text-mode reading breaks them (str.splitlines also breaks
+    at \\x0c, \\x85, U+2028 and more, which a tweet may hold)."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def parse_record_line(line: str) -> RawRecord:
     cols = line.split("\t")
     if len(cols) != 7:
@@ -275,7 +283,7 @@ def load_dataset(path):
         raise ValueError(f"{path}: invalid UTF-8 at byte offset {skip + e.start}") from None
     records = []
     report = LoadReport()
-    for line_no, line in enumerate(content.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines(content), start=1):
         try:
             records.append(parse_record_line(line))
             report.parsed += 1

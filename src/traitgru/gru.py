@@ -123,12 +123,15 @@ class BiRnnParams:
     bwd: GruParams
 
     @property
-    def input_size(self) -> int:
-        return self.fwd.input_size
-
-    @property
     def hidden_size(self) -> int:
         return self.fwd.hidden_size
+
+    def accumulate(self, grads: "BiRnnParams") -> None:
+        """Adds grads, of the same shapes, into these tensors in place."""
+        for into, g in ((self.fwd, grads.fwd), (self.bwd, grads.bwd)):
+            into.W += g.W
+            into.U += g.U
+            into.b += g.b
 
     def tensors(self, prefix: str = "") -> "OrderedDict[str, np.ndarray]":
         out = OrderedDict()
@@ -275,9 +278,9 @@ def rnn_backward(p: GruParams, trace: RnnTrace, d_h_last: np.ndarray):
     of the trace, with one product through U per step; the weight
     gradients are one product each over all steps.
 
-    Returns (param gradient dict keyed like GruParams.tensors(), input
-    gradients with one row per input row of the unroll, gradient w.r.t.
-    the zero initial state).
+    Returns (the parameter gradients as a GruParams over new arrays d_W,
+    d_U and d_b, input gradients with one row per input row of the
+    unroll, gradient w.r.t. the zero initial state).
     """
     h = p.hidden_size
     sizes = trace.batch_sizes
@@ -307,10 +310,7 @@ def rnn_backward(p: GruParams, trace: RnnTrace, d_h_last: np.ndarray):
         end = start
     d_U = G.T @ H
     G[:, 2 * h:] = A_h  # now [a_z | a_r | a_h]: the gradient through W and b
-    d_W = G.T @ trace.x
-    d_b = G.sum(axis=0)
-    blocks = [m[i * h:(i + 1) * h] for m in (d_W, d_U, d_b) for i in range(3)]
-    return dict(zip(TENSOR_NAMES, blocks)), G @ p.W, D
+    return GruParams(G.T @ trace.x, d_U, G.sum(axis=0)), G @ p.W, D
 
 
 def _packed_inputs(xs, lengths):
@@ -356,8 +356,9 @@ def birnn_final(p: BiRnnParams, xs, lengths) -> np.ndarray:
 def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):
     """Gradients of birnn_output w.r.t. both directions and the inputs.
 
-    d_out has one row per sequence.  Returns (grad dict keyed fwd.*/bwd.*,
-    input gradients with one row per input, in the order of xs).
+    d_out has one row per sequence.  Returns (the parameter gradients as a
+    BiRnnParams, input gradients with one row per input, in the order of
+    xs).
     """
     h = p.hidden_size
     pk = trace.packing
@@ -369,6 +370,4 @@ def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):
     d_xs = np.empty_like(d_xs_fwd)
     d_xs[pk.fwd] = d_xs_fwd
     d_xs[pk.bwd] += d_xs_bwd
-    grads = {f"fwd.{k}": v for k, v in g_fwd.items()}
-    grads.update({f"bwd.{k}": v for k, v in g_bwd.items()})
-    return grads, d_xs
+    return BiRnnParams(g_fwd, g_bwd), d_xs

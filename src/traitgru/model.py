@@ -27,7 +27,9 @@ word-site mask.  One ModelParams class holds any kind's tensors and is
 itself their read-only mapping of name to tensor, in the checkpoint
 order.  empty_params lays them out once, as consecutive views of one
 float64 vector (flat); gradient and Adam moment vectors share that
-layout.  checkpoint.load fills a zero bundle in place and
+layout.  The gradient is such a bundle too (zero_grads): the backward
+pass adds into its levels, head and table as the forward pass reads the
+parameters'.  checkpoint.load fills a zero bundle in place and
 Checkpoint.to_regressor uses it as is, so a loaded model is never copied.
 
 Inverted dropout can be applied at two sites during training: to each
@@ -204,11 +206,6 @@ class ModelParams(Mapping):
     def tensors(self) -> "ModelParams":
         return self
 
-    def over(self, vec: np.ndarray) -> dict:
-        """The same layout over vec: each tensor name maps to the view of
-        vec at that tensor's place in flat."""
-        return dict(empty_params(self.kind, self.dims, vec))
-
 
 @dataclass
 class Trace:
@@ -235,25 +232,21 @@ def mlp_forward(head: MlpHead, X: np.ndarray):
 
 
 def mlp_backward(head: MlpHead, X: np.ndarray, pre: np.ndarray, d_y: np.ndarray,
-                 grads: dict) -> np.ndarray:
+                 grads: MlpHead) -> np.ndarray:
     """Adds the head's gradients over rows X, each row's scaled by its d_y,
-    to grads; returns the gradient on X."""
+    into the gradient head grads; returns the gradient on X."""
     d_pre = np.outer(d_y, head.w_hy[0]) * (pre > 0)
-    grads["w_hy"] += d_y @ np.maximum(pre, 0.0)
-    grads["b_y"] += d_y.sum()
-    grads["w_eh"] += d_pre.T @ X
-    grads["b_h"] += d_pre.sum(axis=0)
+    grads.w_hy += d_y @ np.maximum(pre, 0.0)
+    grads.b_y += d_y.sum()
+    grads.w_eh += d_pre.T @ X
+    grads.b_h += d_pre.sum(axis=0)
     return d_pre @ head.w_eh
 
 
-def zero_grads(params: ModelParams) -> dict:
-    """A zero gradient for every tensor: the views of one zero vector."""
-    return params.over(np.zeros_like(params.flat))
-
-
-def _add_grads(grads: dict, prefix: str, delta: dict) -> None:
-    for k, v in delta.items():
-        grads[prefix + k] += v
+def zero_grads(params: ModelParams) -> ModelParams:
+    """A zero gradient bundle of params' layout: every tensor a view of the
+    one gradient vector grads.flat."""
+    return empty_params(params.kind, params.dims)
 
 
 def _draw_masks(params: ModelParams, dropout: DropoutPlan, rows: list, width: int):
@@ -291,15 +284,16 @@ def flat_forward(params: ModelParams, xs: np.ndarray, rows: list, dropout: Dropo
     return y, Trace(mask=mask, top=top, e_s=e_s, sent_mask=sent_mask, pre_relu=pre)
 
 
-def flat_backward(params: ModelParams, trace: Trace, d_y: np.ndarray, grads: dict) -> np.ndarray:
+def flat_backward(params: ModelParams, trace: Trace, d_y: np.ndarray,
+                  grads: ModelParams) -> np.ndarray:
     """Adds the head's and the top level's gradients, each tweet's scaled by
-    its d_y, to grads; returns the gradient on flat_forward's input rows."""
+    its d_y, into grads; returns the gradient on flat_forward's input rows."""
     sent_mask = trace.sent_mask
     fed = trace.e_s * sent_mask if sent_mask is not None else trace.e_s
-    d_in = mlp_backward(params.head, fed, trace.pre_relu, d_y, grads)
+    d_in = mlp_backward(params.head, fed, trace.pre_relu, d_y, grads.head)
     g, d_xs = birnn_backward(params.levels[-1], trace.top,
                              d_in * sent_mask if sent_mask is not None else d_in)
-    _add_grads(grads, params.spec.levels[-1][0], g)
+    grads.levels[-1].accumulate(g)
     return d_xs * trace.mask if trace.mask is not None else d_xs
 
 
@@ -452,12 +446,13 @@ class Regressor:
         y, trace = self.forward_units([self.unit_ids(tweet)], dropout)
         return float(y[0]), trace
 
-    def backward(self, trace: Trace, d_y, grads: dict = None) -> dict:
+    def backward(self, trace: Trace, d_y, grads: ModelParams = None) -> ModelParams:
         """Exact gradients of the scores of a pack w.r.t. every tensor, each
-        tweet's scaled by its entry of d_y (a number for a pack of one).
+        tweet's scaled by its entry of d_y (a number for a pack of one), as
+        a gradient bundle (zero_grads): pass grads to add into it instead.
 
         The input rows' gradients land in the table columns of the units
-        seen, in one scatter-add.  Pass grads to accumulate across packs.
+        seen, in one scatter-add into grads.table.
         """
         params = self.params
         d_y = np.array(d_y, dtype=np.float64).reshape(-1)
@@ -465,11 +460,10 @@ class Regressor:
             raise ValueError(f"{d_y.size} upstream gradients for a pack of {len(trace.e_s)}")
         grads = zero_grads(params) if grads is None else grads
         d_x = flat_backward(params, trace, d_y, grads)
-        below = list(zip(params.spec.levels, params.levels, trace.lower))
-        for (prefix, _), rnn, tr in reversed(below):
+        for rnn, into, tr in reversed(list(zip(params.levels, grads.levels, trace.lower))):
             g, d_x = birnn_backward(rnn, tr, d_x)
-            _add_grads(grads, prefix, g)
-        np.add.at(grads[params.spec.table].T, trace.ids, d_x)
+            into.accumulate(g)
+        np.add.at(grads.table.T, trace.ids, d_x)
         return grads
 
     def score_many(self, tweets):

@@ -4,9 +4,9 @@ Training is exactly reproducible: (seed, corpus, config) determine the
 checkpoint bit-for-bit.  Shuffling and dropout use independent streams
 derived from the master seed, so turning dropout off never perturbs the
 batch order.  Per-batch gradients are the mean over examples.  They
-accumulate in one vector laid out like the parameters (see
-model.empty_params), zeroed in place per batch, and Adam updates the
-parameter vector from it and its two moment vectors in fixed slices.
+accumulate in one bundle laid out like the parameters (model.zero_grads)
+whose vector grads.flat is zeroed in place per batch, and Adam updates
+the parameter vector from it and its two moment vectors in fixed slices.
 
 A mini-batch runs as consecutive packs of its tweets, in ascending
 example-index order: one forward and one backward pass per pack
@@ -30,12 +30,12 @@ no gradients and scores the held-out tweets packed together
 
 The gradient checker compares Regressor.backward with central
 differences of the squared error, entry by entry of the parameter
-vector.  Its 2 x (entries) probes are independent, so they run in chunks:
-a chunk of k entries is 2k perturbed copies of the parameter vector,
-stacked as the rows of one matrix and scored in one trace-free walk
-(model.final_rows, model.mlp_forward), whose scores equal the traced
-Regressor.score of each copy bit for bit.  The model's own vector is
-never written.
+vector (grads.flat).  Its 2 x (entries) probes are independent, so they
+run in chunks: a chunk of k entries is 2k perturbed copies of the
+parameter vector, stacked as the rows of one matrix and scored in one
+trace-free walk (model.final_rows, model.mlp_forward), whose scores
+equal the traced Regressor.score of each copy bit for bit.  The model's
+own vector is never written.
 """
 
 import copy
@@ -47,10 +47,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .data import Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab
-from .model import (DropoutPlan, ModelKind, Regressor, budgeted_chunks, empty_params,
-                    final_rows, mlp_forward, mse_loss, projection_bytes, spec_of,
-                    tensor_shapes)
+from .data import (Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab,
+                   split_lines)
+from .model import (DropoutPlan, ModelKind, ModelParams, Regressor, budgeted_chunks,
+                    empty_params, final_rows, mlp_forward, mse_loss, projection_bytes,
+                    spec_of, tensor_shapes, zero_grads)
 from .rng import SplitMix64
 
 # Bytes of the lowest level's input projection (see model.projection_bytes)
@@ -67,10 +68,11 @@ ADAM_SLICE = 1 << 16
 
 # Bytes of stacked parameter vectors that one chunk of gradient-check
 # probes may take: two vectors per parameter entry, and an entry whose
-# pair is over the budget runs alone.  The walk's own arrays take about
-# as much again.  On a shared 2-core host the benchmark's gradcheck
-# workload ran about a third faster at 256 KiB than at 128 KiB, with
-# about 0.3 MB more peak RSS.
+# pair is over the budget runs alone.  The walk's own arrays (its input
+# projection, say) are not counted: the peak over one five-trial
+# grad_check per kind was 301-392 KB (tracemalloc), 2.3 to 3.0 times the
+# budget.  On a shared 2-core host the benchmark's gradcheck workload ran
+# about a third faster at 256 KiB, with about 0.3 MB more peak RSS.
 PROBE_BUDGET_BYTES = 128 << 10
 
 
@@ -127,7 +129,7 @@ def parse_config_text(text: str) -> TrainConfig:
     """key = value lines; '#' comments and blank lines allowed; unknown keys fail."""
     known = {f.name for f in fields(TrainConfig)}
     values = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -283,15 +285,10 @@ def build_vocab_for(kind: ModelKind, tweets):
     return build_char_vocab(tweets, source=spec.source)
 
 
-def _chunked(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
-
-
 def _pack_step(reg: Regressor, units: list, ys: list, dropout, scale: float,
-               grads: dict) -> list:
+               grads: ModelParams) -> list:
     """One forward and one backward pass over a pack of training tweets:
-    adds the gradients of scale * (y_hat - y)^2 of each to grads and
+    adds the gradients of scale * (y_hat - y)^2 of each into grads and
     returns their errors y_hat - y, in order.  The pack's traces are freed
     on return."""
     y_hat, trace = reg.forward_units(units, dropout)
@@ -351,8 +348,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
     params = init_params(kind, dims, cfg.seed, cfg.init_scheme)
     reg = Regressor(kind=kind, params=params, vocab=vocab)
     adam = AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
-    g = np.zeros_like(params.flat)
-    grads = params.over(g)
+    grads = zero_grads(params)
     shuffle_rng = SplitMix64(cfg.seed).derive("shuffle")
     dropout_rng = SplitMix64(cfg.seed).derive("dropout")
     dropout = None
@@ -370,9 +366,9 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
         order = list(range(n))
         shuffle_rng.shuffle(order)
         sq_sum = 0.0
-        for batch_no, batch in enumerate(_chunked(order, cfg.batch_size), start=1):
-            batch = sorted(batch)
-            g.fill(0.0)
+        for batch_no, bounds in enumerate(budgeted_chunks([1] * n, cfg.batch_size), start=1):
+            batch = sorted(order[slice(*bounds)])
+            grads.flat.fill(0.0)
             for lo, hi in budgeted_chunks([cost[i] for i in batch], PACK_BUDGET_BYTES):
                 pack = batch[lo:hi]
                 rng_before = copy.copy(dropout_rng)
@@ -389,7 +385,7 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
                     sq_sum += err * err
             if cfg.clip_norm is not None:
                 clip_gradients(grads, cfg.clip_norm)
-            adam_step(params.flat, g, adam, cfg)
+            adam_step(params.flat, grads.flat, adam, cfg)
         val_rmse = None
         if val_tweets and validate:
             try:
@@ -476,9 +472,8 @@ def check_gradients(reg: Regressor, tweet, y: float, eps: float = 1e-5,
     one analytic gradient entry, as a sensitivity canary for the checker
     itself.
     """
-    a = np.zeros_like(reg.params.flat)
     y_hat, trace = reg.forward(tweet)
-    analytic = reg.backward(trace, 2.0 * (y_hat - y), reg.params.over(a))
+    analytic = reg.backward(trace, 2.0 * (y_hat - y))
     if corrupt is not None:
         name, delta = corrupt
         analytic[name].reshape(-1)[0] += delta
@@ -487,8 +482,8 @@ def check_gradients(reg: Regressor, tweet, y: float, eps: float = 1e-5,
         loss = (scores - y) ** 2
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry reads NaN
         numeric = (loss[0::2] - loss[1::2]) / (2.0 * eps)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        return float(np.max(np.abs(a - numeric) / denom))
+        denom = np.maximum(np.maximum(np.abs(analytic.flat), np.abs(numeric)), 1e-8)
+        return float(np.max(np.abs(analytic.flat - numeric) / denom))
 
 
 def grad_check(kind: ModelKind, n_trials: int = 20, eps: float = 1e-5,

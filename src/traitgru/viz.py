@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import split_lines
 from .rng import SplitMix64
 
 
@@ -127,7 +128,7 @@ def export_scatter_csv(points, path) -> None:
 
 
 def parse_scatter_csv(text: str) -> list:
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or lines[0] != "pc1,pc2,label,text":
         raise ValueError("not a scatter CSV")
     points = []

@@ -182,6 +182,19 @@ def test_huge_header_length_rejected(trained, tmp_path, capsys):
     _expect_rejected(bad, "header length", capsys)
 
 
+def nested_header_checkpoint(path, depth=200_000):
+    """A checkpoint whose JSON header opens depth arrays, deeper than the
+    parser's recursion limit."""
+    header = b"[" * depth
+    path.write_bytes(C.MAGIC + struct.pack("<IQ", C.FORMAT_VERSION, len(header)) + header)
+    return path
+
+
+def test_deeply_nested_header_rejected(tmp_path, capsys):
+    _expect_rejected(nested_header_checkpoint(tmp_path / "nested.ckpt"),
+                     "corrupt checkpoint header", capsys)
+
+
 def test_huge_shape_dimension_rejected(trained, tmp_path, capsys):
     _, path, _ = trained
     blob = bytearray(path.read_bytes())

@@ -11,6 +11,8 @@ from traitgru.data import (MAX_TWEET_CHARS, MAX_WORD_CHARS, RawRecord, TraitScor
 from traitgru.train import TrainConfig, format_config
 from traitgru.viz import parse_scatter_csv
 
+from .test_checkpoint import nested_header_checkpoint
+
 TINY_CONFIG = format_config(TrainConfig(
     char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2,
     epochs=2, batch_size=8, dropout_rate=0.0, seed=5,
@@ -129,6 +131,23 @@ def test_predict_stdin_scores_what_build_tweets_makes_of_the_line(workspace, cap
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n\n"))
     assert main(["predict", "--model", str(out), "--stdin"]) == 0
     assert capsys.readouterr().out.splitlines() == [f"{expected:.6f}", "NA"]
+
+
+def test_predict_stdin_lines_end_only_at_newline(workspace, capsys, monkeypatch):
+    import io
+
+    tmp_path, cfg_path, data_path = workspace
+    out = tmp_path / "model.ckpt"
+    main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+          "--config", str(cfg_path), "--seed", "5", "--out", str(out)])
+    lines = ["good line", "form\x0cfeed", "nel\x85here", "last\u2028line"]
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["predict", "--model", str(out), "--stdin"]) == 0
+    scores = capsys.readouterr().out.splitlines()
+    assert len(scores) == 4
+    assert main(["predict", "--model", str(out), "--text", lines[1]]) == 0
+    assert capsys.readouterr().out.strip() == scores[1]
 
 
 BAD_CONFIG_VALUES = [
@@ -352,6 +371,18 @@ def _run_module(*argv):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", "traitgru.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_deeply_nested_checkpoint_header_exits_1_without_a_traceback(workspace, capsys):
+    tmp_path, _, data_path = workspace
+    bad = nested_header_checkpoint(tmp_path / "nested.ckpt")
+    done = _run_module("predict", "--model", str(bad), "--text", "hi")
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: corrupt checkpoint header")
+    assert main(["visualize", "--model", str(bad), "--data", str(data_path), "--trait", "ext",
+                 "--n", "2", "--out", str(tmp_path / "s.csv"), "--format", "csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt checkpoint header") and "Traceback" not in err
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

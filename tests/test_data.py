@@ -170,6 +170,26 @@ class TestLoadDataset:
         assert not report.rejected
         assert loaded == records
 
+    def test_lines_end_only_at_newline_and_carriage_return(self, tmp_path):
+        # str.splitlines would also break at these; a text may hold them.
+        texts = ["form\x0cfeed", "next\x85line", "line\u2028separator",
+                 "\x0b\x1c\x1d\x1e\u2029 all"]
+        records = [RawRecord(f"u{i}", text, TraitScores(0.1, 0, 0, 0, 0))
+                   for i, text in enumerate(texts)]
+        path = tmp_path / "d.tsv"
+        save_dataset(records, path)
+        loaded, report = load_dataset(path)
+        assert not report.rejected
+        assert loaded == records
+        # CRLF and lone CR end lines as before; line numbers count them.
+        lines = path.read_bytes().split(b"\n")[:-1] + [b"u9\t0.1"]
+        ends = [b"\r\n", b"\r", b"\r\n", b"\n", b"\r\n"]
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+        loaded, report = load_dataset(crlf)
+        assert loaded == records
+        assert [line for line, _ in report.rejected] == [5]
+
 
 class TestKfold:
     def test_five_folds_of_two(self):

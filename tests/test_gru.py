@@ -79,7 +79,8 @@ def gru_backward(p: GruParams, t: Row, d_h_new: np.ndarray):
     gradient on h_new: the step-by-step reference for rnn_backward.
 
     Returns (param gradient dict keyed like GruParams.tensors(), gradient
-    w.r.t. x, gradient w.r.t. h_prev), the triple rnn_backward returns.
+    w.r.t. x, gradient w.r.t. h_prev): the triple rnn_backward returns,
+    with the parameter gradients by name.
     """
     if d_h_new.shape != t.h_new.shape:
         raise ValueError(f"d_h_new shape {d_h_new.shape} != {t.h_new.shape}")
@@ -313,7 +314,7 @@ class TestInvariants:
                     lo = float(d_last @ unroll(p, xs).final[0])
                     flat[i] = orig
                     fd[i] = (hi - lo) / (2 * eps)
-                worst = max(worst, max_rel_err(grads[name].reshape(-1), fd))
+                worst = max(worst, max_rel_err(grads.tensors()[name].reshape(-1), fd))
             for t, x in enumerate(xs):
                 fd = np.zeros(d)
                 for i in range(d):
@@ -348,7 +349,8 @@ def test_rnn_backward_equals_stepwise_cell_backward():
             for name in ref:
                 ref[name] += g[name]
         for name in ref:
-            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(grads.tensors()[name], ref[name], rtol=1e-12,
+                                       atol=1e-14)
         for a, b in zip(d_xs, ref_d_xs):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(d_h0[0], d_h, rtol=1e-12, atol=1e-14)
@@ -374,7 +376,7 @@ def test_birnn_backward_matches_finite_differences():
             lo = float(d_out @ birnn_output(encode(p, xs))[0])
             flat[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
-        assert max_rel_err(grads[name].reshape(-1), fd) < 1e-4, name
+        assert max_rel_err(grads.tensors()[name].reshape(-1), fd) < 1e-4, name
     for t, x in enumerate(xs):
         fd = np.zeros(2)
         for i in range(2):

@@ -3,8 +3,8 @@ import pytest
 
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
 from traitgru.gru import birnn_forward, birnn_output
-from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, Regressor,
-                            empty_params, mlp_forward, mse_loss)
+from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, ModelParams,
+                            Regressor, empty_params, mlp_forward, mse_loss)
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
@@ -244,6 +244,28 @@ class TestBackwardFull:
         nonzero_cols = {int(c) for c in np.nonzero(np.any(grads["e_c"] != 0, axis=0))[0]}
         visited = {reg.vocab.id_of(c) for c in "ab"}
         assert nonzero_cols == visited
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+    def test_gradients_are_a_bundle_over_one_vector_that_accumulates(self, kind):
+        first, second = mk_tweet("ab ba c"), mk_tweet("ca abc")
+        reg = tiny_regressor([first, second], kind=kind, seed=7, h=3)
+        traces = [reg.forward(tw)[1] for tw in (first, second)]
+        alone = [reg.backward(tr, 1.0).flat.copy() for tr in traces]
+        grads = reg.backward(traces[0], 1.0)
+        assert isinstance(grads, ModelParams)
+        assert grads.flat.shape == reg.params.flat.shape
+        assert not np.shares_memory(grads.flat, reg.params.flat)
+        parts = [grads.table, *grads.head.tensors().values()]
+        for rnn in grads.levels:
+            parts += [rnn.fwd.W, rnn.fwd.U, rnn.fwd.b, rnn.bwd.W, rnn.bwd.U, rnn.bwd.b]
+        for part in parts:
+            assert np.shares_memory(part, grads.flat)
+        assert sum(part.size for part in parts) == grads.flat.size
+        for name, view in grads.items():
+            assert np.shares_memory(view, grads.flat), name
+        assert reg.backward(traces[1], 1.0, grads) is grads
+        np.testing.assert_allclose(grads.flat, alone[0] + alone[1], rtol=1e-12, atol=1e-15)
+        assert np.any(alone[0] != 0) and np.any(alone[1] != 0)
 
     def test_tiny_model_matches_finite_differences(self):
         corpus = [mk_tweet("abc de fg")]

@@ -51,21 +51,21 @@ def per_word_reference(params, tokens, dropout, d_y_of):
     d_y = d_y_of(y)
     grads = zero_grads(params)
     d_pre = head.w_hy[0] * d_y * (pre > 0)
-    grads["w_hy"] += d_y * h_s[None, :]
-    grads["b_y"] += d_y
-    grads["w_eh"] += np.outer(d_pre, fed)
-    grads["b_h"] += d_pre
+    grads["w_hy"][...] += d_y * h_s[None, :]
+    grads["b_y"][...] += d_y
+    grads["w_eh"][...] += np.outer(d_pre, fed)
+    grads["b_h"][...] += d_pre
     d_e_s = head.w_eh.T @ d_pre
     if sent_mask is not None:
         d_e_s = d_e_s * sent_mask
     wg, d_xs = birnn_backward(params.levels[1], sentence, d_e_s[None])
-    for k, v in wg.items():
-        grads["word_" + k] += v
+    for k, v in wg.tensors().items():
+        grads["word_" + k][...] += v
     for i, (tok, wt) in enumerate(zip(tokens, word_traces)):
         d_e_w = d_xs[i] * masks[i] if masks is not None else d_xs[i]
         cg, d_cs = birnn_backward(params.levels[0], wt, d_e_w[None])
-        for k, v in cg.items():
-            grads["char_" + k] += v
+        for k, v in cg.tensors().items():
+            grads["char_" + k][...] += v
         for cid, d_c in zip(VOCAB.ids_of(tok), d_cs):
             grads["e_c"][:, cid] += d_c
     return y, grads
@@ -127,17 +127,17 @@ def test_packed_birnn_rows_equal_single_sequences():
     trace = birnn_forward(p, X, lengths)
     out = birnn_output(trace)
     grads, d_xs = birnn_backward(p, trace, d_out)
-    ref = {k: np.zeros_like(v) for k, v in grads.items()}
+    ref = {k: np.zeros_like(v) for k, v in grads.tensors().items()}
     starts = np.cumsum(lengths) - lengths
     for i, (s, n) in enumerate(zip(starts, lengths)):
         single = birnn_forward(p, X[s:s + n], [n])
         assert_close(out[i], birnn_output(single)[0], f"output {i}")
         g, d_single = birnn_backward(p, single, d_out[i:i + 1])
         for k in ref:
-            ref[k] += g[k]
+            ref[k] += g.tensors()[k]
         assert_close(d_xs[s:s + n], d_single, f"input gradient {i}")
     for k in ref:
-        assert_close(grads[k], ref[k], k)
+        assert_close(grads.tensors()[k], ref[k], k)
 
 
 def test_named_tensors_are_views_of_the_stacks():

@@ -39,6 +39,14 @@ class TestConfig:
         cfg = parse_config_text("# tiny run\n\nepochs = 3  # short\nseed = 5\n")
         assert cfg.epochs == 3 and cfg.seed == 5
 
+    def test_lines_end_only_at_newline_and_carriage_return(self):
+        # A form feed or U+0085 inside a comment does not start a new line,
+        # and line numbers count only \n, \r\n and \r.
+        cfg = parse_config_text("epochs = 3  # short\x0cseed = 5\r\n# note\x85seed = 6\n")
+        assert cfg.epochs == 3 and cfg.seed == 0
+        with pytest.raises(ValueError, match="config line 3: unknown key"):
+            parse_config_text("seed = 1\r# a\u2028b\nwarp = 9\n")
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)

@@ -17,7 +17,8 @@ import pytest
 from traitgru import checkpoint as C
 from traitgru import train as T
 from traitgru.data import build_tweets, generate_fixture
-from traitgru.model import TRAINABLE_KINDS, DropoutPlan, Regressor, projection_bytes
+from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, Regressor, empty_params,
+                            projection_bytes)
 from traitgru.rng import SplitMix64
 from traitgru.train import (AdamState, TrainConfig, adam_step, build_vocab_for, clip_gradients,
                             config_as_dict, init_params, model_dims, train)
@@ -44,7 +45,7 @@ def per_tweet_train(kind, tweets, trait, cfg, on_epoch):
         for lo in range(0, len(order), cfg.batch_size):
             batch = sorted(order[lo:lo + cfg.batch_size])
             g = np.zeros_like(params.flat)
-            grads = params.over(g)
+            grads = empty_params(kind, dims, g)
             inv = 1.0 / len(batch)
             for i in batch:
                 dp = DropoutPlan(cfg.dropout_rate, dropout_rng, cfg.dropout_words,

@@ -191,6 +191,14 @@ class TestExport:
         assert len(parsed) == 5
         assert parsed[0].pc1 == pts[0].pc1 and parsed[2].label == pts[2].label
 
+    def test_csv_lines_end_only_at_newline(self, tmp_path):
+        # Characters str.splitlines would break at stay inside the text.
+        path = tmp_path / "pts.csv"
+        pts = [ScatterPoint(0.5, -0.5, "LOW", "form\x0cfeed, next\x85line"),
+               ScatterPoint(1.5, 2.5, "HIGH", "line\u2028separator\x1e")]
+        export_scatter(pts, path, "csv")
+        assert parse_scatter_csv(path.read_text(encoding="utf-8")) == pts
+
     def test_svg_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         export_scatter(self.points(4), a, "svg")
