@@ -347,12 +347,13 @@ class FoldPlan:
         return [i for i, f in enumerate(self.assignment) if f == fold]
 
 
-def _users_in_order(tweets) -> list:
-    seen = {}
-    for tw in tweets:
-        if tw.user_id not in seen:
-            seen[tw.user_id] = len(seen)
-    return list(seen)
+def tweets_by_user(items) -> dict:
+    """Each user's ascending indices into items (anything with a user_id),
+    users in order of first appearance."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item.user_id, []).append(i)
+    return groups
 
 
 def kfold_split(tweets, k: int, level: str, seed: int) -> FoldPlan:
@@ -369,27 +370,23 @@ def kfold_split(tweets, k: int, level: str, seed: int) -> FoldPlan:
     if level not in ("tweet", "user"):
         raise ValueError(f"level must be 'tweet' or 'user', got {level!r}")
     rng = SplitMix64(seed).derive("kfold")
-    users = _users_in_order(tweets)
+    groups = tweets_by_user(tweets)
     assignment = [0] * len(tweets)
     if level == "user":
-        if len(users) < k:
-            raise ValueError(f"user-level split needs >= {k} users, got {len(users)}")
-        shuffled = list(users)
-        rng.shuffle(shuffled)
-        user_fold = {u: i % k for i, u in enumerate(shuffled)}
-        for i, tw in enumerate(tweets):
-            assignment[i] = user_fold[tw.user_id]
+        if len(groups) < k:
+            raise ValueError(f"user-level split needs >= {k} users, got {len(groups)}")
+        users = list(groups)
+        rng.shuffle(users)
+        for pos, u in enumerate(users):
+            for i in groups[u]:
+                assignment[i] = pos % k
     else:
         if len(tweets) < k:
             raise ValueError(f"tweet-level split needs >= {k} tweets, got {len(tweets)}")
-        by_user = {u: [] for u in users}
-        for i, tw in enumerate(tweets):
-            by_user[tw.user_id].append(i)
         # continuous round-robin across users: per-user fold counts differ
         # by at most one, and so do global fold sizes (no empty folds)
         offset = rng.below(k)
-        for u in users:
-            idxs = list(by_user[u])
+        for idxs in groups.values():
             rng.shuffle(idxs)
             for pos, i in enumerate(idxs):
                 assignment[i] = (offset + pos) % k

@@ -10,7 +10,7 @@ all held-out predictions; the mean of per-fold RMSEs is also reported.
 import math
 from dataclasses import dataclass, field, replace
 
-from .data import TRAITS, kfold_split
+from .data import TRAITS, kfold_split, tweets_by_user
 from .model import ModelKind
 from .rng import SplitMix64
 
@@ -34,23 +34,19 @@ def rmse_tweet(preds) -> float:
     return math.sqrt(sum((p.y - p.y_hat) ** 2 for p in preds) / len(preds))
 
 
+def _user_label(uid, labels) -> float:
+    """The one label a user's tweets share; two labels are an error."""
+    labels = set(labels)
+    if len(labels) != 1:
+        raise ValueError(f"user {uid} carries inconsistent labels {sorted(labels)}")
+    return labels.pop()
+
+
 def aggregate_user(preds) -> list:
     """Per-user (user_id, mean prediction, shared label), in first-seen order."""
-    order = []
-    by_user = {}
-    for p in preds:
-        if p.user_id not in by_user:
-            by_user[p.user_id] = []
-            order.append(p.user_id)
-        by_user[p.user_id].append(p)
-    out = []
-    for uid in order:
-        group = by_user[uid]
-        labels = {p.y for p in group}
-        if len(labels) != 1:
-            raise ValueError(f"user {uid} carries inconsistent labels {sorted(labels)}")
-        out.append((uid, sum(p.y_hat for p in group) / len(group), group[0].y))
-    return out
+    return [(uid, sum(preds[i].y_hat for i in idxs) / len(idxs),
+             _user_label(uid, (preds[i].y for i in idxs)))
+            for uid, idxs in tweets_by_user(preds).items()]
 
 
 def rmse_user(user_pairs) -> float:
@@ -69,12 +65,8 @@ def average_baseline_fit(train_scores) -> float:
 
 @dataclass
 class FoldDetail:
-    """Per-fold bookkeeping exposed for leakage checks and reports."""
+    """Per-fold bookkeeping exposed for leakage checks."""
 
-    fold: int
-    train_count: int
-    test_count: int
-    rmse: float
     train_mean: float = None
     vocab_size: int = None
 
@@ -89,8 +81,6 @@ class CvReport:
     fold_sizes: list
     pooled_rmse: float
     fold_mean_rmse: float
-    fingerprint: str
-    seed: int
     details: list = field(default_factory=list)
     predictions: list = field(default_factory=list)
 
@@ -107,72 +97,59 @@ def run_cv(kind: ModelKind, tweets, trait: str, k: int, level: str,
 
     Each fold is an independent deterministic job: its training seed is
     derived from (seed, fold index).  Vocabulary and the baseline mean
-    are computed from the training folds only.
+    are computed from the training folds only.  At user level every
+    user's tweets must share one label for the trait, which is checked
+    before any fold is trained.
     """
-    from .train import config_fingerprint, train
+    from .train import train
 
     kind = ModelKind(kind)
     if trait not in TRAITS:
         raise ValueError(f"unknown trait {trait!r}")
     if cfg is None and kind != ModelKind.AVERAGE:
         raise ValueError(f"cross-validating {kind.value} needs a training config, got None")
+    if level == "user":
+        for uid, idxs in tweets_by_user(tweets).items():
+            _user_label(uid, (tweets[i].traits.get(trait) for i in idxs))
     plan = kfold_split(tweets, k, level, seed)
     all_preds = []
     fold_rmse = []
     fold_sizes = []
     details = []
     for fold in range(k):
-        train_idx = plan.train_indices(fold)
         test_idx = plan.test_indices(fold)
         test_tweets = [tweets[i] for i in test_idx]
-        detail = FoldDetail(fold=fold, train_count=len(train_idx),
-                            test_count=len(test_idx), rmse=float("nan"))
         if kind == ModelKind.AVERAGE:
-            train_tweets = [tweets[i] for i in train_idx]
-            if level == "user":
-                seen = {}
-                for tw in train_tweets:
-                    seen.setdefault(tw.user_id, tw.traits.get(trait))
-                mean = average_baseline_fit(seen.values())
-            else:
-                mean = average_baseline_fit(tw.traits.get(trait) for tw in train_tweets)
-            detail.train_mean = mean
-            fold_preds = [
-                TweetPrediction(index=i, user_id=tw.user_id, trait=trait,
-                                y_hat=mean, y=tw.traits.get(trait))
-                for i, tw in zip(test_idx, test_tweets)
-            ]
+            train_tweets = [tweets[i] for i in plan.train_indices(fold)]
+            if level == "user":  # each user's score counts once
+                train_tweets = [train_tweets[idxs[0]]
+                                for idxs in tweets_by_user(train_tweets).values()]
+            mean = average_baseline_fit(tw.traits.get(trait) for tw in train_tweets)
+            y_hats = [mean] * len(test_tweets)
+            details.append(FoldDetail(train_mean=mean))
         else:
             fold_seed = SplitMix64(seed).derive(f"fold{fold}").next_u64() % (2**31)
-            fold_cfg = replace(cfg, seed=fold_seed)
-            ckpt, _ = train(kind, tweets, trait, fold_cfg, plan, fold, validate=False)
+            ckpt, _ = train(kind, tweets, trait, replace(cfg, seed=fold_seed), plan, fold,
+                            validate=False)
             reg = ckpt.to_regressor()
-            detail.vocab_size = reg.vocab.size
             try:
-                y_hats = reg.score_many(test_tweets)[0]
+                y_hats = reg.score_many(test_tweets)[0].tolist()
             except FloatingPointError as e:
                 raise FloatingPointError(f"{e} (trait {trait}, fold {fold}, held-out "
                                          f"scoring)") from e
-            fold_preds = []
-            for i, tw, y_hat in zip(test_idx, test_tweets, y_hats.tolist()):
-                if cfg is not None and cfg.clamp_outputs:
-                    y_hat = min(0.5, max(-0.5, y_hat))
-                fold_preds.append(TweetPrediction(index=i, user_id=tw.user_id,
-                                                  trait=trait, y_hat=y_hat,
-                                                  y=tw.traits.get(trait)))
-        r = _level_rmse(fold_preds, level)
-        detail.rmse = r
-        fold_rmse.append(r)
+            if cfg.clamp_outputs:
+                y_hats = [min(0.5, max(-0.5, y_hat)) for y_hat in y_hats]
+            details.append(FoldDetail(vocab_size=reg.vocab.size))
+        fold_preds = [TweetPrediction(index=i, user_id=tw.user_id, trait=trait, y_hat=y_hat,
+                                      y=tw.traits.get(trait))
+                      for i, tw, y_hat in zip(test_idx, test_tweets, y_hats)]
+        fold_rmse.append(_level_rmse(fold_preds, level))
         fold_sizes.append(len(fold_preds))
-        details.append(detail)
         all_preds.extend(fold_preds)
-    pooled = _level_rmse(all_preds, level)
-    fingerprint = config_fingerprint(cfg) if cfg is not None else "none"
     return CvReport(
         kind=kind, trait=trait, k=k, level=level, fold_rmse=fold_rmse,
-        fold_sizes=fold_sizes, pooled_rmse=pooled,
-        fold_mean_rmse=sum(fold_rmse) / len(fold_rmse), fingerprint=fingerprint,
-        seed=seed, details=details,
+        fold_sizes=fold_sizes, pooled_rmse=_level_rmse(all_preds, level),
+        fold_mean_rmse=sum(fold_rmse) / len(fold_rmse), details=details,
         predictions=all_preds if keep_predictions else [],
     )
 

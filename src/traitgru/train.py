@@ -121,13 +121,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-_BOOL_FIELDS = {"dropout_words", "dropout_sentence", "clamp_outputs"}
-_INT_FIELDS = {"batch_size", "epochs", "seed", "char_dim", "hidden_size", "mlp_dim", "word_dim"}
-
-
 def parse_config_text(text: str) -> TrainConfig:
-    """key = value lines; '#' comments and blank lines allowed; unknown keys fail."""
-    known = {f.name for f in fields(TrainConfig)}
+    """key = value lines; '#' comments and blank lines allowed; unknown keys fail.
+    Each value parses by its field's declared type; clip_norm may be none."""
+    types = {f.name: f.type for f in fields(TrainConfig)}
     values = {}
     for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,31 +134,32 @@ def parse_config_text(text: str) -> TrainConfig:
             raise ValueError(f"config line {line_no}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in types:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {line_no}: duplicate key {key!r}")
-        if key in _BOOL_FIELDS:
+        ftype = types[key]
+        if ftype is bool:
             if val.lower() not in ("true", "false"):
                 raise ValueError(f"config line {line_no}: {key} must be true or false")
             values[key] = val.lower() == "true"
-        elif key == "init_scheme":
+        elif ftype is str:
             values[key] = val
         elif key == "clip_norm" and val.lower() == "none":
             values[key] = None
         else:
-            number = int if key in _INT_FIELDS else float
             try:
-                values[key] = number(val)
+                values[key] = ftype(val)
             except ValueError:
-                what = "an integer" if number is int else "a number"
+                what = "an integer" if ftype is int else "a number"
                 raise ValueError(f"config line {line_no}: {key} must be {what}, "
                                  f"got {val!r}") from None
     return TrainConfig(**values)
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse_config_text of a UTF-8 file; one leading byte order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read())
 
 
@@ -169,18 +167,12 @@ def format_config(cfg: TrainConfig) -> str:
     lines = []
     for f in fields(TrainConfig):
         v = getattr(cfg, f.name)
-        if f.name in _BOOL_FIELDS:
+        if f.type is bool:
             v = "true" if v else "false"
         elif f.name == "clip_norm" and v is None:
             v = "none"
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
-
-
-def config_fingerprint(cfg: TrainConfig) -> str:
-    import hashlib
-
-    return hashlib.sha256(format_config(cfg).encode()).hexdigest()[:12]
 
 
 def config_as_dict(cfg: TrainConfig) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import split_lines
+from .data import split_lines, tweets_by_user
 from .rng import SplitMix64
 
 
@@ -88,20 +88,14 @@ def select_extremes(tweets, trait: str, n_per_side: int, seed: int = 0,
         raise ValueError("n_per_side must be >= 1")
     if not (0.0 < tail <= 0.5):
         raise ValueError(f"tail must be in (0, 0.5], got {tail}")
-    order = []
-    score = {}
-    for tw in tweets:
-        if tw.user_id not in score:
-            score[tw.user_id] = tw.traits.get(trait)
-            order.append(tw.user_id)
-    ranked = sorted(order, key=lambda u: score[u])  # stable: ties keep first-seen order
+    groups = tweets_by_user(tweets)
+    # stable: ties keep first-seen order
+    ranked = sorted(groups, key=lambda u: tweets[groups[u][0]].traits.get(trait))
     n_tail = max(1, math.ceil(tail * len(ranked)))
-    low_users = set(ranked[:n_tail])
-    high_users = set(ranked[-n_tail:])
-    if low_users & high_users:
+    if 2 * n_tail > len(ranked):
         raise ValueError("not enough users with distinct scores to form two tails")
-    low_pool = [i for i, tw in enumerate(tweets) if tw.user_id in low_users]
-    high_pool = [i for i, tw in enumerate(tweets) if tw.user_id in high_users]
+    low_pool = sorted(i for u in ranked[:n_tail] for i in groups[u])
+    high_pool = sorted(i for u in ranked[-n_tail:] for i in groups[u])
     if len(low_pool) < n_per_side or len(high_pool) < n_per_side:
         raise ValueError(
             f"need {n_per_side} tweets per tail, have {len(low_pool)} low / {len(high_pool)} high"

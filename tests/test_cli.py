@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -175,6 +176,19 @@ def test_train_rejects_a_bad_config_value_before_writing(workspace, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith("error:") and names.format(line=len(lines) + 1) in err
     assert not out.exists()
+
+
+def test_train_skips_a_leading_bom_in_the_config(workspace):
+    tmp_path, cfg_path, data_path = workspace
+    bom_path = tmp_path / "bom.cfg"
+    bom_path.write_bytes(codecs.BOM_UTF8 + cfg_path.read_bytes())
+    models = []
+    for path in (cfg_path, bom_path):
+        out = tmp_path / f"{path.stem}.ckpt"
+        assert main(["train", "--data", str(data_path), "--trait", "ext", "--model",
+                     "c2w2s4pt", "--config", str(path), "--out", str(out)]) == 0
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_train_exits_1_when_the_model_cannot_be_allocated(workspace, capsys):

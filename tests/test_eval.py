@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,30 @@ class TestRunCv:
             run_cv(ModelKind.C2W2S4PT, tweets, "ext", 4, "tweet", cfg, seed=1)
         assert str(info.value).endswith("(trait ext, fold 0, held-out scoring)")
         assert "non-finite" in str(info.value)
+
+    @pytest.mark.parametrize("kind", [ModelKind.AVERAGE, ModelKind.C2W2S4PT])
+    def test_user_with_two_labels_rejected_before_any_training(self, kind, monkeypatch):
+        tweets = self.fixture(n_users=6, per_user=3)
+        tweets[1] = replace(tweets[1], traits=replace(tweets[1].traits, ext=0.25))
+        calls = []
+        monkeypatch.setattr("traitgru.train.train", lambda *a, **kw: calls.append(a))
+        cfg = TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2, word_dim=2, epochs=1)
+        with pytest.raises(ValueError, match="user u001 carries inconsistent labels"):
+            run_cv(kind, tweets, "ext", 3, "user", cfg, seed=0)
+        assert calls == []
+
+    def test_clamped_predictions_are_the_unclamped_ones_clamped(self):
+        # A large learning rate drives some held-out scores out of range.
+        tweets = self.fixture(n_users=4, per_user=4)
+        cfg = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2, epochs=2,
+                          dropout_rate=0.0, batch_size=4, learning_rate=0.5)
+        raw, clamped = (run_cv(ModelKind.C2W2S4PT, tweets, "ext", 4, "tweet",
+                               replace(cfg, clamp_outputs=clamp), seed=1,
+                               keep_predictions=True).predictions
+                        for clamp in (False, True))
+        assert any(abs(p.y_hat) > 0.5 for p in raw)
+        assert [p.index for p in clamped] == [p.index for p in raw]
+        assert [p.y_hat for p in clamped] == [min(0.5, max(-0.5, p.y_hat)) for p in raw]
 
     def test_unknown_trait_rejected(self):
         with pytest.raises(ValueError):
