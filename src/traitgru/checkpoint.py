@@ -62,19 +62,35 @@ class Checkpoint:
 
 
 def _vocab_payload(vocab) -> dict:
+    """The header's vocabulary: its kind and its entries in id order, a
+    character as [code point, id], a word as [string, id]; UNK is implicit."""
     if isinstance(vocab, CharVocab):
-        return {"kind": "char", "entries": [[cp, i] for cp, i in vocab.entries()]}
-    if isinstance(vocab, WordVocab):
-        return {"kind": "word", "entries": [[w, i] for w, i in vocab.entries()]}
-    raise CheckpointError(f"unsupported vocabulary type {type(vocab).__name__}")
+        kind, entries = "char", [[ord(c), i] for c, i in vocab.char_to_id.items()]
+    elif isinstance(vocab, WordVocab):
+        kind, entries = "word", [[w, i] for w, i in vocab.word_to_id.items()]
+    else:
+        raise CheckpointError(f"unsupported vocabulary type {type(vocab).__name__}")
+    return {"kind": kind, "entries": sorted(entries, key=lambda e: e[1])}
 
 
 def _vocab_from_payload(payload: dict):
-    if payload["kind"] == "char":
-        return CharVocab.from_entries((cp, i) for cp, i in payload["entries"])
-    if payload["kind"] == "word":
-        return WordVocab.from_entries((w, i) for w, i in payload["entries"])
-    raise CheckpointError(f"unknown vocabulary kind {payload['kind']!r}")
+    """The vocabulary _vocab_payload wrote.  A char entry must be [int code
+    point, int id] and a word entry [str, int id], where a bool is no int;
+    any other entry, a code point past U+10FFFF, or ids that are not dense
+    and unique is a ValueError."""
+    kind = payload["kind"]
+    if kind not in ("char", "word"):
+        raise CheckpointError(f"unknown vocabulary kind {kind!r}")
+    key_type = int if kind == "char" else str
+    entries = payload["entries"]
+    for entry in entries:
+        if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is key_type
+                and type(entry[1]) is int):
+            raise ValueError(f"a {kind} vocabulary entry must be [{key_type.__name__}, int], "
+                             f"got {entry!r}")
+    if kind == "char":
+        return CharVocab({chr(cp): i for cp, i in entries})
+    return WordVocab(dict(entries))
 
 
 def save(ckpt: Checkpoint, path) -> None:

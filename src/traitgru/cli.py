@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     kind = ModelKind(args.model_kind)
-    cfg = _load_config(args) if kind != ModelKind.AVERAGE else None
+    cfg = _load_config(args)
     tweets = _load_tweets(args)
     traits = TRAIT_CHOICES if args.trait == "all" else [args.trait]
     reports = [

@@ -180,14 +180,6 @@ class CharVocab:
     def ids_of(self, text: str) -> list:
         return [self.id_of(c) for c in text]
 
-    def entries(self) -> list:
-        """(codepoint, id) pairs sorted by id; UNK is implicit."""
-        return sorted(((ord(c), i) for c, i in self.char_to_id.items()), key=lambda e: e[1])
-
-    @classmethod
-    def from_entries(cls, entries) -> "CharVocab":
-        return cls({chr(cp): i for cp, i in entries})
-
 
 class WordVocab:
     """Dense token-to-id map with a reserved trailing UNK id."""
@@ -205,13 +197,6 @@ class WordVocab:
 
     def id_of(self, word: str) -> int:
         return self.word_to_id.get(word, self.unk_id)
-
-    def entries(self) -> list:
-        return sorted(self.word_to_id.items(), key=lambda e: e[1])
-
-    @classmethod
-    def from_entries(cls, entries) -> "WordVocab":
-        return cls({w: i for w, i in entries})
 
 
 def build_char_vocab(tweets, source: str = "tokens") -> CharVocab:
@@ -267,23 +252,24 @@ def parse_record_line(line: str) -> RawRecord:
     return RawRecord(user_id=user_id, text=text, traits=TraitScores(*scores))
 
 
-def load_dataset(path):
-    """Parse a TSV dataset; returns (records, LoadReport).
-
-    Malformed lines are counted and reported with their line numbers.
-    One leading UTF-8 byte order mark is skipped.  Invalid UTF-8 is a hard
-    error naming the byte offset in the file.
-    """
+def read_text(path) -> str:
+    """The text of a UTF-8 file, one leading byte order mark skipped.  Invalid
+    UTF-8 is a ValueError naming the path and the file's byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     skip = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        content = raw[skip:].decode("utf-8")
+        return raw[skip:].decode("utf-8")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: invalid UTF-8 at byte offset {skip + e.start}") from None
+
+
+def load_dataset(path):
+    """Parse a TSV dataset read by read_text; returns (records, LoadReport).
+    Malformed lines are counted and reported with their line numbers."""
     records = []
     report = LoadReport()
-    for line_no, line in enumerate(split_lines(content), start=1):
+    for line_no, line in enumerate(split_lines(read_text(path)), start=1):
         try:
             records.append(parse_record_line(line))
             report.parsed += 1

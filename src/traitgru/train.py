@@ -48,7 +48,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import (Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab,
-                   split_lines)
+                   read_text, split_lines)
 from .model import (DropoutPlan, ModelKind, ModelParams, Regressor, budgeted_chunks,
                     empty_params, final_rows, mlp_forward, mse_loss, projection_bytes,
                     spec_of, tensor_shapes, zero_grads)
@@ -158,9 +158,8 @@ def parse_config_text(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    """parse_config_text of a UTF-8 file; one leading byte order mark is skipped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_config_text(fh.read())
+    """parse_config_text of a UTF-8 file as data.read_text reads it."""
+    return parse_config_text(read_text(path))
 
 
 def format_config(cfg: TrainConfig) -> str:
@@ -202,12 +201,6 @@ def _glorot(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     return rng.uniforms(rows * cols, -bound, bound).reshape(rows, cols)
 
 
-def _init_values(name: str, shape, rng: SplitMix64) -> np.ndarray:
-    if name in ("e_c", "e_w"):
-        return rng.derive(name).uniforms(int(np.prod(shape)), -0.1, 0.1).reshape(shape)
-    return _glorot(rng.derive(name), shape[0], shape[1])
-
-
 def model_dims(kind: ModelKind, cfg: TrainConfig, vocab) -> dict:
     """Dimension record stored in checkpoints: the table width, the hidden
     size of every level (all levels train at cfg.hidden_size), the MLP
@@ -225,16 +218,19 @@ def physical_memory() -> int:
 
 
 def init_params(kind: ModelKind, dims: dict, seed: int, scheme: str = "glorot"):
-    """Deterministic initialization: Glorot-uniform weights, zero biases,
-    embedding columns uniform in [-0.1, 0.1].  Each tensor draws from its
-    own name-derived stream, so values do not depend on creation order;
-    the draws fill the named views of the kind's stacked bundle."""
+    """Deterministic initialization of the kind's bundle, by the shape of
+    each tensor: the spec's embedding table uniform in [-0.1, 0.1], every
+    other matrix Glorot-uniform, and the vectors, which are exactly the
+    biases, left at zero.  Each tensor draws from its own name-derived
+    stream, so values do not depend on creation order."""
     rng = SplitMix64(seed).derive("init")
     params = empty_params(kind, dims)
     if scheme != "zeros":
         for name, view in params.items():
-            if not name.rsplit(".", 1)[-1].startswith("b_"):
-                view[...] = _init_values(name, view.shape, rng)
+            if name == params.spec.table:
+                view[...] = rng.derive(name).uniforms(view.size, -0.1, 0.1).reshape(view.shape)
+            elif view.ndim == 2:
+                view[...] = _glorot(rng.derive(name), *view.shape)
     return params
 
 

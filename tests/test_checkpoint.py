@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import struct
 from collections import OrderedDict
@@ -11,7 +13,8 @@ from traitgru import checkpoint as C
 from traitgru.cli import main
 from traitgru.data import CharVocab, WordVocab, build_tweets, generate_fixture
 from traitgru.model import SPECS, ModelKind, empty_params, tensor_shapes, zero_grads
-from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims, train
+from traitgru.train import (TrainConfig, build_vocab_for, config_as_dict, init_params,
+                            model_dims, train)
 
 
 CFG = TrainConfig(char_dim=2, hidden_size=3, mlp_dim=3, word_dim=2,
@@ -354,3 +357,72 @@ def test_mutated_checkpoint_loads_finite_or_raises_checkpoint_error(fuzz_inputs,
     capsys.readouterr()
     assert main(["predict", "--model", str(bad), "--text", "hello there"]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+WIRE_CFG = TrainConfig(char_dim=2, hidden_size=2, mlp_dim=2, word_dim=2, seed=3)
+# A vocabulary of each class with ids out of insertion order, and the
+# sha256 prefix of the checkpoint saved from it.
+WIRE_VOCABS = {
+    ModelKind.C2W2S4PT: (CharVocab({"b": 2, "\U0001F600": 0, "\x00": 1, "é": 3}),
+                         "65a19cd98ab8821b"),
+    ModelKind.BI_GRU_WORD: (WordVocab({"zebra": 1, "café": 0, "#tag": 2}), "8cb104ac2cd34ba5"),
+}
+
+
+@pytest.fixture(scope="module")
+def wire_files(tmp_path_factory):
+    """A checkpoint of init_params' values for each vocabulary class."""
+    work = tmp_path_factory.mktemp("wire")
+    paths = {}
+    for kind, (vocab, _) in WIRE_VOCABS.items():
+        dims = model_dims(kind, WIRE_CFG, vocab)
+        paths[kind] = work / f"{kind.value}.ckpt"
+        C.save(C.Checkpoint(kind=kind, dims=dims, vocab=vocab, config=config_as_dict(WIRE_CFG),
+                            tensors=init_params(kind, dims, 3)), paths[kind])
+    return paths
+
+
+@pytest.mark.parametrize("kind", list(WIRE_VOCABS), ids=lambda k: k.value)
+def test_vocabulary_wire_format_is_pinned(wire_files, tmp_path, kind):
+    # The digest pins the header's vocabulary (a character as its code
+    # point, a word as its string, in id order) and init_params' values.
+    path = wire_files[kind]
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == WIRE_VOCABS[kind][1]
+    again = tmp_path / "again.ckpt"
+    C.save(C.load(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _with_vocab_entries(path, out, edit):
+    """A copy of the checkpoint at path whose vocabulary entries, in id
+    order, are replaced by edit(entries)."""
+    blob = path.read_bytes()
+    end = _count_offset(blob)
+    header = json.loads(blob[20:end])
+    header["vocab"]["entries"] = edit(header["vocab"]["entries"])
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    out.write_bytes(blob[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[end:])
+    return out
+
+
+BAD_VOCAB_ENTRIES = [  # (case, kind, the entry of id 0 or the entries' edit)
+    ("bool code point", ModelKind.C2W2S4PT, [True, 0]),
+    ("float id", ModelKind.C2W2S4PT, [0x1F600, 0.0]),
+    ("bool id", ModelKind.C2W2S4PT, [0x1F600, False]),
+    ("code point past U+10FFFF", ModelKind.C2W2S4PT, [0x110000, 0]),
+    ("string code point", ModelKind.C2W2S4PT, ["\U0001F600", 0]),
+    ("one-element entry", ModelKind.C2W2S4PT, [0x1F600]),
+    ("repeated id", ModelKind.C2W2S4PT, lambda e: [e[0], [e[1][0], 0]] + e[2:]),
+    ("int word", ModelKind.BI_GRU_WORD, [1, 0]),
+    ("float word id", ModelKind.BI_GRU_WORD, ["café", 0.0]),
+    ("bool word id", ModelKind.BI_GRU_WORD, ["café", False]),
+]
+
+
+@pytest.mark.parametrize("case, kind, bad", BAD_VOCAB_ENTRIES,
+                         ids=[case for case, _, _ in BAD_VOCAB_ENTRIES])
+def test_vocabulary_entry_of_the_wrong_types_rejected(wire_files, tmp_path, capsys,
+                                                      case, kind, bad):
+    edit = bad if callable(bad) else lambda entries: [bad] + entries[1:]
+    path = _with_vocab_entries(wire_files[kind], tmp_path / "bad.ckpt", edit)
+    _expect_rejected(path, "corrupt checkpoint header", capsys)

@@ -191,6 +191,19 @@ def test_train_skips_a_leading_bom_in_the_config(workspace):
     assert models[0] == models[1]
 
 
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_train_names_the_config_file_and_offset_of_invalid_utf8(workspace, capsys, bom):
+    tmp_path, _, data_path = workspace
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_bytes(bom + b"epochs = 1\nseed = \xff\n")
+    out = tmp_path / "bad.ckpt"
+    assert main(["train", "--data", str(data_path), "--trait", "ext", "--model", "c2w2s4pt",
+                 "--config", str(cfg_path), "--out", str(out)]) == 1
+    offset = len(bom) + 18  # counted in the file, as load_dataset counts it
+    assert capsys.readouterr().err == f"error: {cfg_path}: invalid UTF-8 at byte offset {offset}\n"
+    assert not out.exists()
+
+
 def test_train_exits_1_when_the_model_cannot_be_allocated(workspace, capsys):
     # One GRU tensor at this width needs over 2^47 bytes, more than any
     # machine's physical memory, so train refuses the model before
@@ -248,7 +261,7 @@ def test_predict_corrupt_checkpoint_exit_1(workspace, capsys):
 
 
 def test_eval_average_no_config(workspace, capsys):
-    tmp_path, _, data_path = workspace
+    tmp_path, cfg_path, data_path = workspace
     csv_path = tmp_path / "cv.csv"
     rc = main(["eval", "--data", str(data_path), "--model-kind", "average",
                "--trait", "ext", "--k", "5", "--level", "tweet",
@@ -258,6 +271,27 @@ def test_eval_average_no_config(workspace, capsys):
     assert "average" in out and "EXT" in out
     rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(rows) == 1 + 5 + 1  # header + k folds + pooled
+    # A config is read and checked, but the baseline ignores its values.
+    assert main(["eval", "--data", str(data_path), "--model-kind", "average",
+                 "--trait", "ext", "--k", "5", "--level", "tweet",
+                 "--seed", "2", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("content, names", [
+    (None, "{path}"),
+    ("epochs = 1\nlayers = 2\n", "config line 2: unknown key 'layers'"),
+], ids=["missing", "unknown key"])
+def test_eval_average_rejects_a_bad_config(workspace, capsys, content, names):
+    tmp_path, _, data_path = workspace
+    cfg_path = tmp_path / "eval.cfg"
+    if content is not None:
+        cfg_path.write_text(content, encoding="utf-8")
+    assert main(["eval", "--data", str(data_path), "--model-kind", "average", "--trait", "ext",
+                 "--k", "5", "--level", "tweet", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and names.format(path=cfg_path) in captured.err
 
 
 def test_eval_arbitrary_k_accepted(workspace):
