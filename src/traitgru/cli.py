@@ -6,12 +6,12 @@ that takes --seed is bit-reproducible; nothing seeds from the clock.
 
 import argparse
 import math
-import os
 import sys
 
 from . import checkpoint as ckpt_mod
 from . import data as data_mod
 from . import evaluate as eval_mod
+from . import gru
 from . import train as train_mod
 from . import viz as viz_mod
 from .model import ModelKind, TRAINABLE_KINDS
@@ -21,6 +21,11 @@ MODEL_CHOICES = [k.value for k in TRAINABLE_KINDS]
 ALL_MODEL_CHOICES = [k.value for k in ModelKind]
 
 GRADCHECK_THRESHOLD = 1e-4
+
+THREADS_HELP = ("threads for training: at 2 or more, a model with hidden size >= "
+                f"{gru.CONCURRENT_MIN_HIDDEN} trains each bi-GRU level's two directions "
+                "at once; results are identical for any value (default: the CPUs this "
+                "process may run on)")
 
 
 def _checked(convert, ok, expected: str):
@@ -68,6 +73,7 @@ def _load_tweets(args):
 
 
 def cmd_train(args) -> int:
+    gru.set_threads(args.threads)
     cfg = _load_config(args)
     tweets = _load_tweets(args)
     report_fh = open(args.report, "w", encoding="utf-8", newline="\n") if args.report else None
@@ -92,6 +98,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    gru.set_threads(args.threads)
     kind = ModelKind(args.model_kind)
     cfg = _load_config(args)
     tweets = _load_tweets(args)
@@ -179,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--report", help="epoch CSV output path")
     p.add_argument("--load-report", help="write the load report as JSON")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="max worker threads (results are identical for any value)")
+    p.add_argument("--threads", type=_positive_int, default=gru.available_cpus(),
+                   help=THREADS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="k-fold cross-validation")
@@ -194,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write per-fold CSV here")
     p.add_argument("--load-report", help="write the load report as JSON")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="max worker threads (results are identical for any value)")
+    p.add_argument("--threads", type=_positive_int, default=gru.available_cpus(),
+                   help=THREADS_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="score text with a trained checkpoint")

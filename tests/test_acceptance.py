@@ -222,6 +222,46 @@ def test_criterion_09_determinism_train_visualize_threads(tmp_path):
     report(9, "checkpoints bitwise identical across runs and --threads; SVG byte-identical")
 
 
+def test_criterion_09_threaded_training_and_eval_bitwise_identical(tmp_path, capsys,
+                                                                   monkeypatch):
+    from traitgru import gru
+    from traitgru.train import format_config
+
+    # At this hidden size a cap of 2 runs each level's two directions on
+    # two threads; a cap of 1 runs the serial path.
+    handed_over = []
+    both = gru._Partner.both
+
+    def counting(self, *args):
+        handed_over.append(1)
+        return both(self, *args)
+
+    monkeypatch.setattr(gru._Partner, "both", counting)
+    monkeypatch.setattr(gru, "_threads", gru._threads)
+    data_path = tmp_path / "d.tsv"
+    assert main(["fixture", "--users", "4", "--tweets-per-user", "3",
+                 "--seed", "9", "--out", str(data_path)]) == 0
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(format_config(TrainConfig(
+        char_dim=8, hidden_size=gru.CONCURRENT_MIN_HIDDEN * 2, mlp_dim=8, word_dim=8,
+        epochs=1, batch_size=4, dropout_rate=0.5, seed=17)), encoding="utf-8")
+    runs = []
+    for threads in ("1", "2"):
+        handed_over.clear()
+        out, csv = tmp_path / f"t{threads}.ckpt", tmp_path / f"t{threads}.csv"
+        assert main(["train", "--data", str(data_path), "--trait", "ext",
+                     "--model", "c2w2s4pt", "--config", str(cfg_path),
+                     "--out", str(out), "--threads", threads]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data_path), "--model-kind", "c2w2s4pt",
+                     "--trait", "ext", "--k", "2", "--level", "tweet",
+                     "--config", str(cfg_path), "--csv", str(csv), "--threads", threads]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out, csv.read_bytes()))
+        assert bool(handed_over) == (threads == "2")
+    assert runs[0] == runs[1]
+    report(9, "paper-width checkpoint, eval table and CSV bitwise identical at 1 and 2 threads")
+
+
 def test_criterion_10_checkpoint_roundtrip_and_truncation(tmp_path, capsys):
     tweets, _ = build_tweets(generate_fixture(3, 4, seed=21))
     cfg = TrainConfig(char_dim=3, hidden_size=4, mlp_dim=4, word_dim=3,
