@@ -17,7 +17,9 @@ W (3h x d), one U (3h x h) and one b (3h), following Appleyard et al.
 2016 (arXiv:1604.01946): the input projection W x + b of every step of
 an unroll is one matrix product taken before the time loop, each step
 then needs one product with U, and each backward step one product of
-[a_z | a_r | d_hu] with U.
+[a_z | a_r | d_hu] with U.  The backward pass hoists its gate arithmetic
+the same way: what the trace alone determines is computed for all rows
+before its time loop, so each reverse step is one multiply and one product.
 
 Every unroll runs sequences packed step-major without padding: sorted
 by length, longest first, step t advances only the first batch_sizes[t]
@@ -372,10 +374,14 @@ def rnn_backward(p: GruParams, trace: RnnTrace, d_h_last: np.ndarray):
     """Backpropagation through time when only each sequence's final state
     feeds the loss.
 
-    trace comes from rnn_unroll; d_h_last is (B, h), in packed order.  The
-    recurrent chain walks the steps in reverse, reading each step's rows
-    of the trace, with one product through U per step; the weight
-    gradients are one product each over all steps.
+    trace comes from rnn_unroll; d_h_last is (B, h), in packed order.
+    Every gate factor but the state gradient d_h is read from the trace,
+    so each is computed for all rows before the time loop, into G:
+    (h_prev - h~) z (1 - z), c_h hu r (1 - r) and c_h r, with
+    c_h = (1 - z)(1 - h~^2).  Each reverse step records d_h in DH, scales
+    its rows of G by d_h in place and takes one product with U; the weight
+    gradients are one product each over all steps.  Temporaries: H, G, DH
+    and c_h, 6h floats per row; the trace is only read.
 
     Returns (the parameter gradients as a GruParams over new arrays d_W,
     d_U and d_b, input gradients with one row per input row of the
@@ -389,26 +395,28 @@ def rnn_backward(p: GruParams, trace: RnnTrace, d_h_last: np.ndarray):
     H = np.zeros((n, h))
     H[sizes[0]:] = trace.h_new[np.arange(sizes[0], n)
                                - np.repeat(np.array(sizes[:-1], dtype=np.intp), sizes[1:])]
-    Z, R = trace.zr[:, :h], trace.zr[:, h:]
-    G = np.empty((n, 3 * h))  # [a_z | a_r | d_hu]: the gradient through U
-    A_h = np.empty((n, h))
+    Z, R, H_tilde = trace.zr[:, :h], trace.zr[:, h:], trace.h_tilde
+    c_h = 1.0 - Z  # times 1 - h~^2 once G[:, 0] has read it
+    G = np.empty((n, 3, h))  # the gate coefficients, scaled by d_h step by step
+    G[:, 0] = (H - H_tilde) * Z * c_h
+    c_h *= 1.0 - H_tilde * H_tilde
+    G[:, 1] = c_h * trace.hu * R * (1.0 - R)
+    G[:, 2] = c_h * R
+    DH = np.empty((n, h))
     D = np.array(d_h_last, dtype=np.float64)  # running gradient on each sequence's state
     U = p.U
     end = n
     for b in reversed(sizes):
         start = end - b
-        z, r, h_tilde = Z[start:end], R[start:end], trace.h_tilde[start:end]
         d_h = D[:b]
+        DH[start:end] = d_h
         g = G[start:end]
-        a_h = d_h * (1.0 - z) * (1.0 - h_tilde * h_tilde)
-        A_h[start:end] = a_h
-        g[:, :h] = d_h * (H[start:end] - h_tilde) * z * (1.0 - z)
-        g[:, h:2 * h] = a_h * trace.hu[start:end] * r * (1.0 - r)
-        g[:, 2 * h:] = a_h * r
-        D[:b] = d_h * z + g @ U
+        g *= d_h[:, None, :]
+        D[:b] = d_h * Z[start:end] + g.reshape(b, 3 * h) @ U
         end = start
+    G = G.reshape(n, 3 * h)  # [a_z | a_r | d_hu]: the gradient through U
     d_U = G.T @ H
-    G[:, 2 * h:] = A_h  # now [a_z | a_r | a_h]: the gradient through W and b
+    np.multiply(DH, c_h, out=G[:, 2 * h:])  # now [a_z | a_r | a_h]: through W and b
     return GruParams(G.T @ trace.x, d_U, G.sum(axis=0)), G @ p.W, D
 
 

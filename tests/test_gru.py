@@ -1,3 +1,4 @@
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from traitgru.gru import (TENSOR_NAMES, BiRnnParams, GruParams, RnnTrace, birnn_backward,
                           birnn_final, birnn_forward, birnn_output, gru_forward, rnn_backward,
-                          rnn_final, rnn_unroll, sigmoid)
+                          pack, rnn_final, rnn_unroll, sigmoid)
 from traitgru.rng import SplitMix64
 
 # Frozen against an arbitrary-precision evaluation of the cell equations
@@ -66,12 +67,13 @@ def cell(p: GruParams, x, h_prev) -> Row:
     return Row(x, h_prev, zr[:h], zr[h:], h_tilde, hu, h_new)
 
 
-def row(trace: RnnTrace, t: int) -> Row:
-    """Step t of a pack-of-one trace."""
+def row(trace: RnnTrace, k: int, k_prev) -> Row:
+    """Packed row k of a trace, whose h_prev is packed row k_prev (the
+    zero state when k_prev is None)."""
     h = trace.h_new.shape[1]
-    h_prev = trace.h_new[t - 1] if t else np.zeros(h)
-    return Row(trace.x[t], h_prev, trace.zr[t, :h], trace.zr[t, h:], trace.h_tilde[t],
-               trace.hu[t], trace.h_new[t])
+    h_prev = np.zeros(h) if k_prev is None else trace.h_new[k_prev]
+    return Row(trace.x[k], h_prev, trace.zr[k, :h], trace.zr[k, h:], trace.h_tilde[k],
+               trace.hu[k], trace.h_new[k])
 
 
 def gru_backward(p: GruParams, t: Row, d_h_new: np.ndarray):
@@ -329,31 +331,74 @@ class TestInvariants:
         assert worst < 1e-4, f"max relative error {worst:.3e}"
 
 
-def test_rnn_backward_equals_stepwise_cell_backward():
-    # the batched unroll backward must agree with accumulating the
-    # single-cell reference step by step
+def stepwise_backward(p: GruParams, trace: RnnTrace, d_h_last: np.ndarray):
+    """rnn_backward's triple, accumulated from gru_backward one packed row
+    at a time, walking the steps in reverse: the reference."""
+    sizes = trace.batch_sizes
+    starts = list(accumulate(sizes, initial=0))
+    grads = {name: np.zeros_like(arr) for name, arr in p.tensors().items()}
+    d_xs = np.empty_like(trace.x)
+    d_h = np.array(d_h_last)  # one row per sequence, in packed order
+    for t in reversed(range(len(sizes))):
+        for i in range(sizes[t]):
+            k = starts[t] + i
+            g, d_xs[k], d_h[i] = gru_backward(
+                p, row(trace, k, starts[t - 1] + i if t else None), d_h[i])
+            for name in grads:
+                grads[name] += g[name]
+    return grads, d_xs, d_h
+
+
+def packed_cases():
+    """(params, trace, d_h_last): single sequences at h <= 4, then packs of
+    ragged sequences at h = 3, 16 and 128 whose batch sizes fall by more
+    than one in a step."""
     rng = SplitMix64(55)
     for _ in range(10):
         d = 1 + rng.below(4)
         h = 1 + rng.below(4)
         p = random_params(rng, d, h)
         xs = [rng.uniforms(d, -1, 1) for _ in range(1 + rng.below(5))]
-        d_last = rng.uniforms(h, -1, 1)
-        trace = unroll(p, xs)
-        grads, d_xs, d_h0 = rnn_backward(p, trace, d_last[None])
-        ref = {name: np.zeros_like(arr) for name, arr in p.tensors().items()}
-        d_h = d_last
-        ref_d_xs = [None] * len(trace)
-        for t in range(len(trace) - 1, -1, -1):
-            g, ref_d_xs[t], d_h = gru_backward(p, row(trace, t), d_h)
-            for name in ref:
-                ref[name] += g[name]
+        yield p, unroll(p, xs), rng.uniforms(h, -1, 1)[None]
+    for h, lengths in ((3, [4, 1, 6, 1, 3]), (16, [2, 7, 7, 1, 1, 4]), (128, [5, 1, 3, 1])):
+        d = 5
+        p = random_params(rng, d, h)
+        pk = pack(lengths)
+        assert max(a - b for a, b in zip(pk.batch_sizes, pk.batch_sizes[1:])) > 1
+        xs = rng.uniforms(sum(lengths) * d, -1, 1).reshape(-1, d)
+        d_h_last = rng.uniforms(len(lengths) * h, -1, 1).reshape(-1, h)
+        yield p, rnn_unroll(p, xs[pk.fwd], pk.batch_sizes), d_h_last
+
+
+def test_rnn_backward_equals_stepwise_cell_backward():
+    # the batched unroll backward must agree with accumulating the
+    # single-cell reference row by row
+    for p, trace, d_h_last in packed_cases():
+        grads, d_xs, d_h0 = rnn_backward(p, trace, d_h_last)
+        ref, ref_d_xs, ref_d_h0 = stepwise_backward(p, trace, d_h_last)
         for name in ref:
             np.testing.assert_allclose(grads.tensors()[name], ref[name], rtol=1e-12,
                                        atol=1e-14)
-        for a, b in zip(d_xs, ref_d_xs):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(d_h0[0], d_h, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(d_xs, ref_d_xs, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(d_h0, ref_d_h0, rtol=1e-12, atol=1e-14)
+
+
+def test_rnn_backward_only_reads_its_trace():
+    # the gate coefficients are scaled in place, in buffers of the
+    # backward's own: the trace stays as the forward pass wrote it, so a
+    # second backward over it gives the same gradients bit for bit
+    for p, trace, d_h_last in packed_cases():
+        arrays = ("x", "zr", "h_tilde", "hu", "h_new", "final")
+        before = {name: getattr(trace, name).tobytes() for name in arrays}
+        d_before = d_h_last.tobytes()
+        first = rnn_backward(p, trace, d_h_last)
+        second = rnn_backward(p, trace, d_h_last)
+        for name in arrays:
+            assert getattr(trace, name).tobytes() == before[name], name
+        assert d_h_last.tobytes() == d_before
+        for a, b in zip([*first[0].tensors().values(), *first[1:]],
+                        [*second[0].tensors().values(), *second[1:]]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_birnn_backward_matches_finite_differences():
