@@ -46,20 +46,21 @@ combines them, so birnn_forward and birnn_backward run them at the same
 time when the thread cap (set_threads, by default the CPUs this process
 may run on) is at least 2 and the hidden size is at least
 CONCURRENT_MIN_HIDDEN: the forward direction's rnn_unroll or
-rnn_backward on one persistent partner thread, started on first use,
-and the backward direction's on the calling thread, as in Appleyard et
-al. 2016.  NumPy releases the GIL inside its matrix products and ufunc
-loops, so the two recurrences overlap.  Each direction's arithmetic is
-the serial one, and the caller combines the results in the serial
-order, so every result is bit for bit the same for any thread cap.
-Smaller models, and the trace-free walk of scoring, stay on one thread:
-below that size the hand-off costs more than the overlap saves.
+rnn_backward on _partner, a one-worker ThreadPoolExecutor whose thread
+starts on first use and serves every caller, and the backward
+direction's on the calling thread, as in Appleyard et al. 2016.  NumPy
+releases the GIL inside its matrix products and ufunc loops, so the two
+recurrences overlap.  Each direction's arithmetic is the serial one, and
+the caller combines the results in the serial order, so every result is
+bit for bit the same for any thread cap.  Smaller models, and the
+trace-free walk of scoring, stay on one thread: below that size the
+hand-off costs more than the overlap saves.
 """
 
 import contextvars
 import os
-import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -84,8 +85,7 @@ def available_cpus() -> int:
 
 
 _threads = available_cpus()
-_partner = None
-_partner_started = threading.Lock()
+_partner = ThreadPoolExecutor(1, thread_name_prefix="traitgru-partner")
 
 
 def set_threads(n: int) -> None:
@@ -97,57 +97,21 @@ def set_threads(n: int) -> None:
     _threads = n
 
 
-class _Partner:
-    """One daemon thread that runs calls handed to it, one at a time."""
-
-    def __init__(self):
-        self._jobs = []
-        self._posted = threading.Semaphore(0)
-        threading.Thread(target=self._serve, name="traitgru-partner", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._posted.acquire()
-            self._run(*self._jobs.pop())
-
-    @staticmethod
-    def _run(fn, args, context, box, done):
-        # A frame of its own, so that nothing of a finished call (its
-        # arguments, its result) stays alive until the next one arrives.
-        try:
-            box[0] = context.run(fn, *args)
-        except BaseException as e:  # raised again on the caller's thread
-            box[1] = e
-        done.release()
-
-    def both(self, fn, there_args, here_args):
-        """(fn(*there_args), fn(*here_args)), the first on the partner
-        thread, in the caller's context (numpy's error state included),
-        while the caller runs the second.  Both have finished before
-        either's error is raised, the first call's when both fail."""
-        box, done = [None, None], threading.Lock()
-        done.acquire()
-        self._jobs.append((fn, there_args, contextvars.copy_context(), box, done))
-        self._posted.release()
-        try:
-            here = fn(*here_args)
-        finally:
-            done.acquire()
-            if box[1] is not None:
-                raise box[1]
-        return box[0], here
-
-
 def _both_directions(fn, p: "BiRnnParams", fwd_args, bwd_args):
     """(fn(*fwd_args), fn(*bwd_args)): on two threads when the cap and the
-    hidden size allow it, else one after the other on this thread."""
-    global _partner
+    hidden size allow it, else one after the other on this thread.
+
+    On two threads the first call runs on the partner, in the caller's
+    context (numpy's error state included).  Both have finished before
+    either's error is raised, the partner's when both fail."""
     if _threads < 2 or p.hidden_size < CONCURRENT_MIN_HIDDEN:
         return fn(*fwd_args), fn(*bwd_args)
-    with _partner_started:  # two first callers at once start one thread
-        if _partner is None:
-            _partner = _Partner()
-    return _partner.both(fn, fwd_args, bwd_args)
+    there = _partner.submit(contextvars.copy_context().run, fn, *fwd_args)
+    try:
+        here = fn(*bwd_args)
+    finally:
+        fwd = there.result()
+    return fwd, here
 
 
 def require_finite(op: str, arr: np.ndarray) -> np.ndarray:

@@ -354,8 +354,8 @@ def train(kind: ModelKind, tweets, trait: str, cfg: TrainConfig,
         order = list(range(n))
         shuffle_rng.shuffle(order)
         sq_sum = 0.0
-        for batch_no, bounds in enumerate(budgeted_chunks([1] * n, cfg.batch_size), start=1):
-            batch = sorted(order[slice(*bounds)])
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size), start=1):
+            batch = sorted(order[start:start + cfg.batch_size])
             grads.flat.fill(0.0)
             for lo, hi in budgeted_chunks([cost[i] for i in batch], PACK_BUDGET_BYTES):
                 pack = batch[lo:hi]

@@ -230,13 +230,13 @@ def test_criterion_09_threaded_training_and_eval_bitwise_identical(tmp_path, cap
     # At this hidden size a cap of 2 runs each level's two directions on
     # two threads; a cap of 1 runs the serial path.
     handed_over = []
-    both = gru._Partner.both
+    submit = gru._partner.submit
 
-    def counting(self, *args):
+    def counting(*args):
         handed_over.append(1)
-        return both(self, *args)
+        return submit(*args)
 
-    monkeypatch.setattr(gru._Partner, "both", counting)
+    monkeypatch.setattr(gru._partner, "submit", counting)
     monkeypatch.setattr(gru, "_threads", gru._threads)
     data_path = tmp_path / "d.tsv"
     assert main(["fixture", "--users", "4", "--tweets-per-user", "3",

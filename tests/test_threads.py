@@ -1,11 +1,13 @@
 """The two directions of a bi-GRU level on two threads: when the partner
-thread runs, what it hands back, and when it never starts."""
+thread runs, what it hands back, when it never starts, and that a command
+that started it still exits."""
 
 import os
 import sys
 import threading
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from traitgru.evaluate import run_cv
 from traitgru.model import TRAINABLE_KINDS, ModelKind
 from traitgru.rng import SplitMix64
 
+from .test_cli import _run_module
 from .test_gru import random_params
 
 PAPER_CFG = T.TrainConfig(char_dim=8, hidden_size=256, mlp_dim=8, word_dim=8, epochs=1,
@@ -33,9 +36,17 @@ def cap(monkeypatch):
 
 @pytest.fixture()
 def no_partner(monkeypatch):
-    """No partner thread at the start of the test, so starting one shows
-    in threading.active_count()."""
-    monkeypatch.setattr(gru, "_partner", None)
+    """A fresh partner executor, whose worker has not started, so starting
+    one shows in new_threads(); it is shut down after the test."""
+    fresh = ThreadPoolExecutor(1, thread_name_prefix="traitgru-partner")
+    monkeypatch.setattr(gru, "_partner", fresh)
+    yield
+    fresh.shutdown()
+
+
+def new_threads(before):
+    """The names of the live threads not in before, a set of threads."""
+    return sorted(t.name for t in threading.enumerate() if t not in before)
 
 
 def paper_tweets():
@@ -111,16 +122,21 @@ def test_birnn_passes_run_the_forward_direction_on_the_partner(cap, monkeypatch)
         ("rnn_unroll", False, True), ("rnn_unroll", True, False)]
 
 
-@pytest.fixture(scope="module")
-def partner():
-    return gru._Partner()
+@pytest.fixture()
+def both(cap):
+    """_both_directions at a cap of 2 and a hidden size that uses the partner."""
+    rng = SplitMix64(7)
+    h = gru.CONCURRENT_MIN_HIDDEN
+    params = gru.BiRnnParams(random_params(rng, 1, h), random_params(rng, 1, h))
+    cap(2)
+    return lambda fn, fwd_args, bwd_args: gru._both_directions(fn, params, fwd_args, bwd_args)
 
 
 class TestPartner:
-    def test_results_come_back_in_argument_order(self, partner):
-        assert partner.both(lambda a, b: a - b, (5, 2), (1, 4)) == (3, -3)
+    def test_results_come_back_in_argument_order(self, both):
+        assert both(lambda a, b: a - b, (5, 2), (1, 4)) == (3, -3)
 
-    def test_the_caller_waits_for_the_partner_before_raising_its_own_error(self, partner):
+    def test_the_caller_waits_for_the_partner_before_raising_its_own_error(self, both):
         finished = []
 
         def slow(x):
@@ -132,25 +148,25 @@ class TestPartner:
             raise FloatingPointError(f"here {x}")
 
         with pytest.raises(FloatingPointError, match="here 2"):
-            partner.both(lambda x: slow(x) if x == 1 else failing(x), (1,), (2,))
+            both(lambda x: slow(x) if x == 1 else failing(x), (1,), (2,))
         assert finished == [1]
 
-    def test_the_partners_error_wins_when_both_fail(self, partner):
+    def test_the_partners_error_wins_when_both_fail(self, both):
         def failing(x):
             raise FloatingPointError(f"call {x}")
 
         with pytest.raises(FloatingPointError, match="call 1"):
-            partner.both(failing, (1,), (2,))
+            both(failing, (1,), (2,))
         with pytest.raises(ZeroDivisionError):
-            partner.both(lambda x: 1 / x, (0,), (1,))
-        assert partner.both(lambda x: x, (3,), (4,)) == (3, 4)  # still serving
+            both(lambda x: 1 / x, (0,), (1,))
+        assert both(lambda x: x, (3,), (4,)) == (3, 4)  # still serving
 
-    def test_the_partner_runs_in_the_callers_numpy_error_state(self, partner):
+    def test_the_partner_runs_in_the_callers_numpy_error_state(self, both):
         def overflow(x):
             return np.exp(np.array([x]))
 
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            partner.both(overflow, (1e4,), (0.0,))
+            both(overflow, (1e4,), (0.0,))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -175,16 +191,17 @@ def test_a_partner_error_reaches_train_unchanged_then_train_runs_again(cap, monk
     assert [str(e) for e in errors] == [
         "gru_forward produced non-finite values "
         "(trait ext, epoch 1, batch 2, training tweet 1)"] * 2
-    frames = [frame.f_code.co_name
-              for frame, _ in traceback.walk_tb(errors[1].__cause__.__traceback__)]
-    assert "_run" in frames  # raised on the partner thread
+    files = [frame.f_code.co_filename
+             for frame, _ in traceback.walk_tb(errors[1].__cause__.__traceback__)]
+    # raised on the partner thread
+    assert any(f.endswith(os.path.join("concurrent", "futures", "thread.py")) for f in files)
     monkeypatch.setattr(T, "init_params", init)
     _, reports = T.train(ModelKind.C2W2S4PT, paper_tweets(), "ext", PAPER_CFG)
     assert np.isfinite(reports[0].loss)
 
 
 def test_no_thread_starts_at_small_sizes_or_at_a_cap_of_one(cap, no_partner):
-    before = threading.active_count()
+    before = set(threading.enumerate())
     cap(2)
     tweets, _ = build_tweets(generate_fixture(10, 20, "exclamation", seed=42))
     cfg = T.TrainConfig(char_dim=8, hidden_size=16, mlp_dim=16, word_dim=8, epochs=1,
@@ -194,17 +211,15 @@ def test_no_thread_starts_at_small_sizes_or_at_a_cap_of_one(cap, no_partner):
         T.grad_check(kind, n_trials=2)
     cap(1)
     T.train(ModelKind.C2W2S4PT, paper_tweets(), "ext", PAPER_CFG)
-    assert threading.active_count() == before
-    assert gru._partner is None
+    assert new_threads(before) == []
 
 
 def test_a_paper_size_train_starts_one_partner(cap, no_partner):
-    before = threading.active_count()
+    before = set(threading.enumerate())
     cap(2)
     for _ in range(2):
         T.train(ModelKind.C2W2S4PT, paper_tweets(), "ext", PAPER_CFG)
-    assert threading.active_count() == before + 1
-    assert gru._partner is not None
+    assert new_threads(before) == ["traitgru-partner_0"]
 
 
 def test_callers_on_many_threads_share_one_partner_and_get_their_own_results(cap, no_partner):
@@ -219,7 +234,7 @@ def test_callers_on_many_threads_share_one_partner_and_get_their_own_results(cap
             if got != ((k, i), (k, -i)):
                 wrong.append((k, i, got))
 
-    before = threading.active_count()
+    before = set(threading.enumerate())
     cap(2)
     callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -233,4 +248,23 @@ def test_callers_on_many_threads_share_one_partner_and_get_their_own_results(cap
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert wrong == []
-    assert threading.active_count() == before + 1
+    assert new_threads(before) == ["traitgru-partner_0"]
+
+
+def test_a_threaded_train_command_exits_on_its_own(tmp_path):
+    # The partner's worker is not a daemon thread: the interpreter joins it
+    # at exit, which must not hang a command that started it.
+    data, cfg = tmp_path / "d.tsv", tmp_path / "c.cfg"
+    assert cli.main(["fixture", "--users", "4", "--tweets-per-user", "3", "--seed", "9",
+                     "--out", str(data)]) == 0
+    cfg.write_text(f"char_dim = 4\nhidden_size = {gru.CONCURRENT_MIN_HIDDEN}\nmlp_dim = 5\n"
+                   "word_dim = 4\nepochs = 1\nbatch_size = 4\n", encoding="utf-8")
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.ckpt"
+        done = _run_module("train", "--data", str(data), "--trait", "ext", "--model", "c2w2s4pt",
+                           "--config", str(cfg), "--seed", "5", "--out", str(out),
+                           "--threads", threads)
+        assert done.returncode == 0, done.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
