@@ -41,26 +41,42 @@ sequence and an independent set over the reversed sequence, then
 concatenates the two final hidden states.  Both directions start from
 the zero vector.
 
-The two directions of a training pass are independent until the caller
-combines them, so birnn_forward and birnn_backward run them at the same
-time when the thread cap (set_threads, by default the CPUs this process
-may run on) is at least 2 and the hidden size is at least
-CONCURRENT_MIN_HIDDEN: the forward direction's rnn_unroll or
-rnn_backward on _partner, a one-worker ThreadPoolExecutor whose thread
-starts on first use and serves every caller, and the backward
-direction's on the calling thread, as in Appleyard et al. 2016.  NumPy
-releases the GIL inside its matrix products and ufunc loops, so the two
-recurrences overlap.  Each direction's arithmetic is the serial one, and
-the caller combines the results in the serial order, so every result is
-bit for bit the same for any thread cap.  Smaller models, and the
-trace-free walk of scoring, stay on one thread: below that size the
-hand-off costs more than the overlap saves.
+The two directions are independent recurrences until the caller combines
+them, and _plan picks one of three ways to run a level's pass from its
+hidden size h, its input size d and the rows of its first step:
+
+- as one GRU of hidden size 2h (_fused) when h < FUSED_BELOW_HIDDEN and
+  rows * h * (h + d) <= FUSED_MAX_WASTE: W, U and b are block-diagonal
+  in the two directions, the gates laid out [z_f z_b | r_f r_b |
+  h~_f h~_b], and the input rows are [forward rows | backward rows].
+  Every equation of the cell is elementwise per unit, so this is the
+  bi-GRU computed with half the steps, at the price of the zero blocks'
+  flops; while those stay small, a step costs its numpy calls more than
+  its arithmetic.  Its final rows are [fwd ; bwd], and the diagonal
+  blocks of its gradient are the two directions' own (_blocks).  The
+  stacked walk fuses the same way;
+- at a thread cap (set_threads, by default the CPUs this process may
+  run on) of at least 2 and h >= CONCURRENT_MIN_HIDDEN, one direction
+  per thread, as in Appleyard et al. 2016: the forward direction's
+  rnn_unroll or rnn_backward on _partner, a one-worker
+  ThreadPoolExecutor made on the first such pass and serving every
+  caller, and the backward direction's on the calling thread.  NumPy
+  releases the GIL inside its matrix products and ufunc loops, so the
+  two recurrences overlap;
+- otherwise one direction after the other on the calling thread.
+
+The choice never depends on the thread cap, each direction's arithmetic
+on two threads is the serial one, and the caller combines the results in
+the serial order, so every result is bit for bit the same for any thread
+cap.  Scoring's trace-free walk never uses the partner: below
+CONCURRENT_MIN_HIDDEN the hand-off costs more than the overlap saves,
+and above it the second thread's arena costs peak memory.
 """
 
 import contextvars
 import os
+import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -68,6 +84,28 @@ import numpy as np
 
 TENSOR_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
 
+
+# A level's pass fuses its two directions (see the module docstring) when
+# h < FUSED_BELOW_HIDDEN and rows * h * (h + d) <= FUSED_MAX_WASTE, rows
+# being its first step's rows, one per sequence.  Fusing halves the
+# steps' numpy calls but adds the zero blocks' 6h(h + d) multiply-adds
+# per row, so which wins depends on the rows as much as on h.  Measured
+# on one core of a shared 2-core host with one BLAS thread, fused against
+# one direction after the other: a level's forward and backward pass at
+# h = 8, 16 and 23, d = 8 and 32 and 1 to 256 sequences ran at least 1.04x
+# as fast within the waste cut (mostly 1.2-1.6x; up to 52 sequences at
+# h = 16, d = 8) and 0.58-1.31x beyond it, mostly below 1; a 5-fold CV on
+# the cv-tiny fixture ran 1.26x and 1.18x as fast at batch 4 and h = 16 and
+# 23, and 1.00x and 1.06x at batch 32, where fusing every pass ran 0.89x
+# and 0.92x.  The hidden-size cut keeps fusion to the sizes measured (at
+# h = 64 over 15 sequences it ran 0.6x) and away from the threaded and
+# the paper-size levels.
+FUSED_BELOW_HIDDEN = 24
+FUSED_MAX_WASTE = 20_000
+
+# What a birnn_final call takes besides the arrays final_bytes counts:
+# NumPy's ufunc buffer (8192 float64s) and the arrays' headers.
+FINAL_OVERHEAD_BYTES = 72 << 10
 
 # Below this hidden size a direction's steps are too short for a second
 # thread to pay for its hand-off (one training pass of a level, measured
@@ -85,7 +123,11 @@ def available_cpus() -> int:
 
 
 _threads = available_cpus()
-_partner = ThreadPoolExecutor(1, thread_name_prefix="traitgru-partner")
+# The one-worker executor of the two-thread case, made on its first pass:
+# importing concurrent.futures costs about 7 ms and 0.75 MB (its logging),
+# which a run that never uses a second thread need not pay.
+_partner = None
+_partner_lock = threading.Lock()
 
 
 def set_threads(n: int) -> None:
@@ -97,21 +139,67 @@ def set_threads(n: int) -> None:
     _threads = n
 
 
-def _both_directions(fn, p: "BiRnnParams", fwd_args, bwd_args):
-    """(fn(*fwd_args), fn(*bwd_args)): on two threads when the cap and the
-    hidden size allow it, else one after the other on this thread.
+def _partner_executor():
+    """_partner, made by the first caller (its worker thread starts on the
+    first submit)."""
+    global _partner
+    with _partner_lock:
+        if _partner is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _partner = ThreadPoolExecutor(1, thread_name_prefix="traitgru-partner")
+        return _partner
 
-    On two threads the first call runs on the partner, in the caller's
-    context (numpy's error state included).  Both have finished before
-    either's error is raised, the partner's when both fail."""
-    if _threads < 2 or p.hidden_size < CONCURRENT_MIN_HIDDEN:
-        return fn(*fwd_args), fn(*bwd_args)
-    there = _partner.submit(contextvars.copy_context().run, fn, *fwd_args)
+
+def _plan(p: "BiRnnParams", batch_sizes):
+    """How the level p runs its directions (0 forward, 1 backward) over
+    packed steps of these sizes: the directions of each of its
+    recurrences, and whether the two recurrences run on two threads (see
+    the module docstring).  A stack of parameter sets runs as one set
+    would, so each set's results are bit for bit its own."""
+    h, d = p.hidden_size, p.fwd.input_size
+    if h < FUSED_BELOW_HIDDEN and batch_sizes[0] * h * (h + d) <= FUSED_MAX_WASTE:
+        return ((0, 1),), False
+    return ((0,), (1,)), _threads >= 2 and h >= CONCURRENT_MIN_HIDDEN
+
+
+def projection_width(h: int) -> int:
+    """The most floats per input row that a level of hidden size h
+    projects its inputs to: 6h where _plan may fuse it, else 3h."""
+    return 6 * h if h < FUSED_BELOW_HIDDEN else 3 * h
+
+
+def final_bytes(p: "BiRnnParams", lengths) -> int:
+    """The bytes of the arrays that birnn_final(p, xs, lengths) allocates
+    per parameter set, beyond p and xs.  Per recurrence of n directions
+    (see _plan; they run one after the other): the fused set when n = 2;
+    per row, its input rows (nd floats), their projection (3nh) and the
+    packing's indices (4); per sequence, its output and state rows and a
+    step's temporaries (12nh: the product with U, the gates and the new
+    state).  Per sequence besides, the level's output rows as they are
+    joined and put back in order (6h).  FINAL_OVERHEAD_BYTES come on top,
+    once per call."""
+    pk = pack(lengths)
+    groups, _ = _plan(p, pk.batch_sizes)
+    n, h, d = len(groups[0]), p.hidden_size, p.fwd.input_size
+    fused = 3 * n * h * (n * d + n * h + 1) if n > 1 else 0
+    return 8 * (fused + len(pk.fwd) * (n * (d + 3 * h) + 4) + len(pk.order) * (12 * n + 6) * h)
+
+
+def _each(fn, calls, threaded: bool) -> list:
+    """[fn(*args) for args in calls]; threaded, the two calls at once.
+
+    Threaded, the first call runs on the partner, in the caller's context
+    (numpy's error state included), and the second on this thread.  Both
+    have finished before either's error is raised, the partner's when
+    both fail."""
+    if not threaded:
+        return [fn(*args) for args in calls]
+    there = _partner_executor().submit(contextvars.copy_context().run, fn, *calls[0])
     try:
-        here = fn(*bwd_args)
+        here = fn(*calls[1])
     finally:
-        fwd = there.result()
-    return fwd, here
+        first = there.result()
+    return [first, here]
 
 
 def require_finite(op: str, arr: np.ndarray) -> np.ndarray:
@@ -247,8 +335,13 @@ def pack(lengths) -> Packing:
 
 @dataclass
 class BiRnnTrace:
-    fwd: RnnTrace
-    bwd: RnnTrace
+    """A level's unroll: per recurrence (see _plan), the directions it
+    runs, the parameter set it ran (fused when it runs both) and its
+    trace; and the packing of the sequences."""
+
+    groups: tuple
+    params: list
+    traces: list
     packing: Packing
 
 
@@ -392,14 +485,57 @@ def _packed_inputs(xs, lengths):
     return X, pk
 
 
+def _fused(p: BiRnnParams, dirs) -> GruParams:
+    """The parameter set of the recurrence running these directions: one
+    direction's own set, or both as one GRU of hidden size 2h whose W, U
+    and b are block-diagonal in the directions, gates [z_f z_b | r_f r_b |
+    h~_f h~_b].  Sets stacked on a leading axis fuse on the trailing axes."""
+    sets = [(p.fwd, p.bwd)[k] for k in dirs]
+    if len(sets) == 1:
+        return sets[0]
+    n, lead = len(sets), sets[0].W.shape[:-2]
+    h, d = sets[0].hidden_size, sets[0].input_size
+    W = np.zeros(lead + (3, n, h, n, d))
+    U = np.zeros(lead + (3, n, h, n, h))
+    b = np.empty(lead + (3, n, h))
+    for j, q in enumerate(sets):
+        W[..., :, j, :, j, :] = q.W.reshape(lead + (3, h, d))
+        U[..., :, j, :, j, :] = q.U.reshape(lead + (3, h, h))
+        b[..., :, j, :] = q.b.reshape(lead + (3, h))
+    return GruParams(W.reshape(lead + (3 * n * h, n * d)), U.reshape(lead + (3 * n * h, n * h)),
+                     b.reshape(lead + (3 * n * h,)))
+
+
+def _blocks(g: GruParams, n: int) -> list:
+    """The n directions' own sets in a set fused from n (a gradient, say):
+    the diagonal blocks of its W, U and b."""
+    if n == 1:
+        return [g]
+    h, d = g.hidden_size // n, g.input_size // n
+    W, U, b = g.W.reshape(3, n, h, n, d), g.U.reshape(3, n, h, n, h), g.b.reshape(3, n, h)
+    return [GruParams(W[:, j, :, j].reshape(3 * h, d), U[:, j, :, j].reshape(3 * h, h),
+                      b[:, j].reshape(3 * h)) for j in range(n)]
+
+
+def _rows(X: np.ndarray, pk: Packing, dirs) -> np.ndarray:
+    """The packed input rows of the recurrence running these directions:
+    X[pk.fwd], X[pk.bwd] or [X[pk.fwd] | X[pk.bwd]] (on the trailing axes
+    of stacked inputs)."""
+    at = np.stack([(pk.fwd, pk.bwd)[k] for k in dirs], axis=1)
+    # np.take's result is C-contiguous, so the reshape does not copy it again.
+    return np.take(X, at, axis=-2).reshape(X.shape[:-2] + (len(at), -1))
+
+
 def birnn_forward(p: BiRnnParams, xs, lengths) -> BiRnnTrace:
     """Unroll both directions over sequences of these lengths, concatenated
     in order in xs; each direction runs all of them at once, packed, and
     the backward direction consumes each sequence reversed."""
     X, pk = _packed_inputs(xs, lengths)
-    fwd, bwd = _both_directions(rnn_unroll, p, (p.fwd, X[pk.fwd], pk.batch_sizes),
-                                (p.bwd, X[pk.bwd], pk.batch_sizes))
-    return BiRnnTrace(fwd=fwd, bwd=bwd, packing=pk)
+    groups, threaded = _plan(p, pk.batch_sizes)
+    params = [_fused(p, dirs) for dirs in groups]
+    traces = _each(rnn_unroll, [(q, _rows(X, pk, dirs), pk.batch_sizes)
+                                for q, dirs in zip(params, groups)], threaded)
+    return BiRnnTrace(groups=groups, params=params, traces=traces, packing=pk)
 
 
 def _in_own_order(pk: Packing, by_length: np.ndarray) -> np.ndarray:
@@ -411,17 +547,17 @@ def _in_own_order(pk: Packing, by_length: np.ndarray) -> np.ndarray:
 def birnn_output(trace: BiRnnTrace) -> np.ndarray:
     """[final forward state ; backward state at sequence position 1], one
     row per sequence, in their own order."""
-    return _in_own_order(trace.packing,
-                         np.concatenate([trace.fwd.final, trace.bwd.final], axis=1))
+    return _in_own_order(trace.packing, np.concatenate([t.final for t in trace.traces], axis=1))
 
 
 def birnn_final(p: BiRnnParams, xs, lengths) -> np.ndarray:
     """birnn_output of birnn_forward(p, xs, lengths), computed without
-    traces: one row per sequence, in their own order (a stack of rows per
-    parameter set when p is stacked, see rnn_final)."""
+    traces and on this thread: one row per sequence, in their own order
+    (a stack of rows per parameter set when p is stacked, see rnn_final)."""
     X, pk = _packed_inputs(xs, lengths)
-    by_length = np.concatenate([rnn_final(p.fwd, X[..., pk.fwd, :], pk.batch_sizes),
-                                rnn_final(p.bwd, X[..., pk.bwd, :], pk.batch_sizes)], axis=-1)
+    groups, _ = _plan(p, pk.batch_sizes)
+    by_length = np.concatenate([rnn_final(_fused(p, dirs), _rows(X, pk, dirs), pk.batch_sizes)
+                                for dirs in groups], axis=-1)
     return _in_own_order(pk, by_length)
 
 
@@ -437,9 +573,18 @@ def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):
     if d_out.shape != (len(pk.order), 2 * h):
         raise ValueError(f"d_out shape {d_out.shape} != {(len(pk.order), 2 * h)}")
     d_sorted = d_out[pk.order]
-    (g_fwd, d_xs_fwd, _), (g_bwd, d_xs_bwd, _) = _both_directions(
-        rnn_backward, p, (p.fwd, trace.fwd, d_sorted[:, :h]), (p.bwd, trace.bwd, d_sorted[:, h:]))
-    d_xs = np.empty_like(d_xs_fwd)
-    d_xs[pk.fwd] = d_xs_fwd
-    d_xs[pk.bwd] += d_xs_bwd
-    return BiRnnParams(g_fwd, g_bwd), d_xs
+    _, threaded = _plan(p, pk.batch_sizes)
+    results = _each(rnn_backward, [(q, tr, d_sorted[:, dirs[0] * h:(dirs[-1] + 1) * h])
+                                   for dirs, q, tr in zip(trace.groups, trace.params,
+                                                          trace.traces)], threaded)
+    grads = []
+    d_xs = np.empty((len(pk.fwd), p.fwd.input_size))
+    for dirs, (g, d_rows, _) in zip(trace.groups, results):
+        grads += _blocks(g, len(dirs))
+        d_rows = d_rows.reshape(len(d_rows), len(dirs), -1)
+        for j, k in enumerate(dirs):  # the forward direction first, as written
+            if k == 0:
+                d_xs[pk.fwd] = d_rows[:, j]
+            else:
+                d_xs[pk.bwd] += d_rows[:, j]
+    return BiRnnParams(*grads), d_xs

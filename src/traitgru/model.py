@@ -45,12 +45,14 @@ Every pass runs a pack of tweets given by their unit_ids
 the top packs all tokens of all the pack's tweets into one pass: the
 tokens are sorted by length, longest first and stable among equal
 lengths, and step t advances only the tokens longer than t, without
-padding, as one matrix product per direction (the stacked, batched cell
-follows Appleyard et al. 2016).  The top level runs over the tweets the
-same way, and the head is one product per layer over their sentence
+padding, as one matrix product per direction, or one for both where
+gru fuses a small level's directions (the stacked, batched cell follows
+Appleyard et al. 2016).  The top level runs over the tweets the same
+way, and the head is one product per layer over their sentence
 vectors (mlp_forward).  A pack keeps the traces of all its tweets alive
-until its backward pass: per level and direction, one gru.RnnTrace of
-arrays holding the input rows and 5h floats per packed row.  So training
+until its backward pass: per level and direction, arrays holding the
+input rows and 5h floats per packed row (one gru.RnnTrace per direction,
+or one of both directions' columns for a fused level).  So training
 cuts each mini-batch into consecutive packs whose lowest level's input
 projection stays under a byte budget (budgeted_chunks, projection_bytes).
 
@@ -76,7 +78,8 @@ import numpy as np
 
 from .data import CharVocab, WordVocab
 from .gru import (TENSOR_NAMES, BiRnnParams, BiRnnTrace, GruParams, birnn_backward,
-                  birnn_final, birnn_forward, birnn_output, require_finite)
+                  birnn_final, birnn_forward, birnn_output, projection_width,
+                  require_finite)
 from .rng import SplitMix64
 
 # Bytes that the input projection X W^T of one unroll, hoisted out of its
@@ -362,8 +365,9 @@ def empty_params(kind: ModelKind, dims: dict, flat: np.ndarray = None) -> ModelP
 def projection_bytes(params: ModelParams, units: list) -> list:
     """Per tweet given by its unit_ids, the bytes of its rows of the input
     projection that the lowest level's unroll takes before its time loop:
-    3h float64s per unit, h the largest hidden size."""
-    row_bytes = 24 * max(rnn.hidden_size for rnn in params.levels)
+    per unit, the widest projection of any level (gru.projection_width),
+    in float64s."""
+    row_bytes = 8 * max(projection_width(rnn.hidden_size) for rnn in params.levels)
     return [len(ids) * row_bytes for ids, _ in units]
 
 

@@ -49,6 +49,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import (Tweet, TraitScores, WordVocab, build_char_vocab, build_word_vocab,
                    read_text, split_lines)
+from .gru import FINAL_OVERHEAD_BYTES, final_bytes
 from .model import (DropoutPlan, ModelKind, ModelParams, Regressor, budgeted_chunks,
                     empty_params, final_rows, mlp_forward, mse_loss, projection_bytes,
                     spec_of, tensor_shapes, zero_grads)
@@ -66,14 +67,16 @@ PACK_BUDGET_BYTES = 1536 << 10
 # of 1.8 M floats each, and raised peak memory by 23 to 25 MB.
 ADAM_SLICE = 1 << 16
 
-# Bytes of stacked parameter vectors that one chunk of gradient-check
-# probes may take: two vectors per parameter entry, and an entry whose
-# pair is over the budget runs alone.  The walk's own arrays (its input
-# projection, say) are not counted: the peak over one five-trial
-# grad_check per kind was 301-392 KB (tracemalloc), 2.3 to 3.0 times the
-# budget.  On a shared 2-core host the benchmark's gradcheck workload ran
-# about a third faster at 256 KiB, with about 0.3 MB more peak RSS.
-PROBE_BUDGET_BYTES = 128 << 10
+# Bytes that one chunk of gradient-check probes may take: per probe, its
+# parameter vector and the arrays the trace-free walk takes for it (see
+# _walk_bytes), two probes per parameter entry, plus the walk's
+# gru.FINAL_OVERHEAD_BYTES once; an entry whose pair is over the budget
+# runs alone.  The chunks are about as large as those of the earlier
+# 128 KiB over the vectors alone (5 trials per kind: 100, 32 and 24
+# chunks of c2w2s4pt, bigru-char and bigru-word against 134, 28 and 26),
+# and the budget holds: tracemalloc's peak over one five-trial grad_check
+# per kind was 486, 486 and 465 KiB.
+PROBE_BUDGET_BYTES = 544 << 10
 
 
 @dataclass
@@ -428,6 +431,16 @@ def _random_tiny_instance(kind: ModelKind, rng: SplitMix64):
     return reg, tweet, y
 
 
+def _walk_bytes(params: ModelParams, units) -> int:
+    """The bytes that final_rows takes per stacked parameter set, beyond
+    the set, for one tweet's unit_ids: at the level that takes most, its
+    input rows and gru.final_bytes."""
+    ids, lengths = units
+    per_level = [[len(ids)]] if lengths is None else [lengths, [len(lengths)]]
+    return max(8 * sum(ls) * rnn.fwd.input_size + final_bytes(rnn, ls)
+               for rnn, ls in zip(params.levels, per_level))
+
+
 def probe_scores(reg: Regressor, tweet, eps: float) -> np.ndarray:
     """The tweet's score with parameter entry i moved by +eps (at 2i) and
     by -eps (at 2i + 1), every other entry as it is.
@@ -438,8 +451,10 @@ def probe_scores(reg: Regressor, tweet, eps: float) -> np.ndarray:
     """
     theta = reg.params.flat
     units = [reg.unit_ids(tweet)]
+    probe_bytes = theta.nbytes + _walk_bytes(reg.params, *units)
     scores = np.empty(2 * len(theta))
-    for lo, hi in budgeted_chunks([2 * theta.nbytes] * len(theta), PROBE_BUDGET_BYTES):
+    room = PROBE_BUDGET_BYTES - FINAL_OVERHEAD_BYTES
+    for lo, hi in budgeted_chunks([2 * probe_bytes] * len(theta), room):
         j = np.arange(hi - lo)
         probes = np.tile(theta, (2 * len(j), 1))
         probes[2 * j, lo + j] += eps

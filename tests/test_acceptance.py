@@ -113,7 +113,7 @@ def test_criterion_05_metric_identities():
 
 
 def test_criterion_06_gru_invariants_fuzzed():
-    from tests.test_gru import random_params
+    from tests.test_gru import direction, random_params
 
     rng = SplitMix64(606)
     checked = 0
@@ -134,7 +134,7 @@ def test_criterion_06_gru_invariants_fuzzed():
             bi = BiRnnParams(fwd=p, bwd=q)
             trace = birnn_forward(bi, xs, [len(xs)])
             ref = rnn_unroll(q, list(reversed(xs)), [1] * len(xs))
-            np.testing.assert_allclose(trace.bwd.h_new, ref.h_new, atol=1e-12)
+            np.testing.assert_allclose(direction(trace, 1).h_new, ref.h_new, atol=1e-12)
             duals += 1
     report(6, f"{checked} fuzzed cells in range, {duals} reversal dualities within 1e-12")
 
@@ -224,19 +224,24 @@ def test_criterion_09_determinism_train_visualize_threads(tmp_path):
 
 def test_criterion_09_threaded_training_and_eval_bitwise_identical(tmp_path, capsys,
                                                                    monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
     from traitgru import gru
     from traitgru.train import format_config
 
     # At this hidden size a cap of 2 runs each level's two directions on
-    # two threads; a cap of 1 runs the serial path.
+    # two threads; a cap of 1 runs the serial path.  The partner counts
+    # its hand-offs.
     handed_over = []
-    submit = gru._partner.submit
+    partner = ThreadPoolExecutor(1, thread_name_prefix="traitgru-partner")
+    submit = partner.submit
 
     def counting(*args):
         handed_over.append(1)
         return submit(*args)
 
-    monkeypatch.setattr(gru._partner, "submit", counting)
+    monkeypatch.setattr(partner, "submit", counting)
+    monkeypatch.setattr(gru, "_partner", partner)
     monkeypatch.setattr(gru, "_threads", gru._threads)
     data_path = tmp_path / "d.tsv"
     assert main(["fixture", "--users", "4", "--tweets-per-user", "3",
@@ -258,6 +263,7 @@ def test_criterion_09_threaded_training_and_eval_bitwise_identical(tmp_path, cap
                      "--config", str(cfg_path), "--csv", str(csv), "--threads", threads]) == 0
         runs.append((out.read_bytes(), capsys.readouterr().out, csv.read_bytes()))
         assert bool(handed_over) == (threads == "2")
+    partner.shutdown()
     assert runs[0] == runs[1]
     report(9, "paper-width checkpoint, eval table and CSV bitwise identical at 1 and 2 threads")
 

@@ -3,9 +3,10 @@
 The fixture recipe below trains each trainable kind at batch sizes 1, 4
 and 32 and pins the checkpoints' sha256 prefixes, the three `predict`
 lines of the batch-4 checkpoints and the three default `gradcheck`
-lines.  One more checkpoint, c2w2s4pt at hidden size 128 trained with a
-thread cap of 2, pins the path that runs a level's two directions on two
-threads.
+lines; at the recipe's hidden size of 6 they pin the path that runs a
+level's two directions as one fused recurrence.  One more checkpoint,
+c2w2s4pt at hidden size 128 trained with a thread cap of 2, pins the path
+that runs a level's two directions on two threads.
 
 A change that moves a pin on purpose (a new order of summation, say)
 updates it and says which pins moved and why.  The pins were taken with
@@ -24,9 +25,9 @@ from traitgru.cli import main
 KINDS = ("c2w2s4pt", "bigru-char", "bigru-word")
 
 CHECKPOINT_SHA256 = {
-    1: ("2e529859ff7f9d44", "34c1236b7851ca52", "2ae465cb32d41c90"),
-    4: ("37e8fb983029cdb1", "ca464bee27666755", "3d1a6d4cd1777b52"),
-    32: ("b9e86b186575de97", "6ee21d870d61b0a3", "6528a880b5b5ee7e"),
+    1: ("bd11f95ea99ccf2b", "d9b701a4f1e52d91", "6c675a3b6568ef06"),
+    4: ("0bfa0b83fd56cca4", "ab9805bfebb24830", "4dcaee44ca9ddb34"),
+    32: ("2fc8ab71e2e2ee50", "2a4e55684e331f0c", "7d92dcdf0545ab15"),
 }
 THREADED_SHA256 = "392d11ed0c960b93"
 PREDICT_LINES = ("-0.019301", "-0.019139", "-0.022030")
@@ -62,6 +63,7 @@ def sha256_prefix(path) -> str:
 
 
 def test_recipe_checkpoints_predictions_and_gradcheck_lines(recipe, capsys):
+    assert 6 < gru.FUSED_BELOW_HIDDEN  # so the recipe's levels run fused
     checkpoints = {}
     for batch_size, pins in CHECKPOINT_SHA256.items():
         checkpoints[batch_size] = [recipe(kind, batch_size) for kind in KINDS]

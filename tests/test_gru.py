@@ -4,6 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from traitgru import gru
 from traitgru.gru import (TENSOR_NAMES, BiRnnParams, GruParams, RnnTrace, birnn_backward,
                           birnn_final, birnn_forward, birnn_output, gru_forward, rnn_backward,
                           pack, rnn_final, rnn_unroll, sigmoid)
@@ -46,6 +47,21 @@ def unroll(p: GruParams, xs) -> RnnTrace:
 def encode(p: BiRnnParams, xs):
     """birnn_forward over one sequence, a pack of one."""
     return birnn_forward(p, xs, [len(xs)])
+
+
+def direction(trace, k: int) -> RnnTrace:
+    """Direction k's trace (0 forward, 1 backward) of a level's unroll, as
+    if it had run alone: its own recurrence's trace, or its columns of the
+    fused one."""
+    if len(trace.traces) == 2:
+        return trace.traces[k]
+    tr = trace.traces[0]
+
+    def part(a, blocks=1):  # direction k's half of each block of columns
+        return a.reshape(len(a), blocks, 2, -1)[:, :, k].reshape(len(a), -1)
+
+    return RnnTrace(x=part(tr.x), zr=part(tr.zr, 2), h_tilde=part(tr.h_tilde), hu=part(tr.hu),
+                    h_new=part(tr.h_new), batch_sizes=tr.batch_sizes, final=part(tr.final))
 
 
 class Row(NamedTuple):
@@ -270,7 +286,8 @@ class TestBiRnn:
         bp = BiRnnParams(fwd=random_params(rng, 3, 4), bwd=p)
         trace = encode(bp, xs)
         fwd_on_reversed = unroll(p, list(reversed(xs)))
-        np.testing.assert_allclose(trace.bwd.h_new, fwd_on_reversed.h_new, atol=1e-12)
+        np.testing.assert_allclose(direction(trace, 1).h_new, fwd_on_reversed.h_new,
+                                   atol=1e-12)
 
 
 class TestInvariants:
@@ -462,3 +479,149 @@ class TestActivations:
     def test_sigmoid_extreme_inputs_no_overflow(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0  # saturates, never NaN/Inf
+
+
+# --- a small level's two directions as one recurrence ---------------------------
+
+FUSED_SIZES = sorted({1, 3, 16, gru.FUSED_BELOW_HIDDEN - 1})
+RAGGED = ([4], [3, 1, 6, 1, 3], [2, 7, 7, 1, 1, 4])
+TRACE_FIELDS = ("x", "zr", "h_tilde", "hu", "h_new", "final")
+
+
+def level_case(rng: SplitMix64, d: int, h: int, lengths):
+    """(parameters, inputs, gradient on the output) of one level."""
+    p = BiRnnParams(random_params(rng, d, h), random_params(rng, d, h))
+    xs = rng.uniforms(sum(lengths) * d, -1, 1).reshape(-1, d)
+    d_out = rng.uniforms(len(lengths) * 2 * h, -1, 1).reshape(len(lengths), 2 * h)
+    return p, xs, d_out
+
+
+def level_pass(p, xs, lengths, d_out):
+    """(trace, [output, input gradients, every parameter gradient])."""
+    trace = birnn_forward(p, xs, lengths)
+    grads, d_xs = birnn_backward(p, trace, d_out)
+    return trace, [birnn_output(trace), d_xs, *grads.tensors().values()]
+
+
+def assert_rounding_apart(got, want, **kwargs):
+    """Equal to 1e-12 relative; an entry that sums cancelling terms is
+    measured against the array's largest entry."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), **kwargs)
+
+
+def two_directions(monkeypatch, fn, *args):
+    """fn(*args) with every level run as one recurrence per direction."""
+    with monkeypatch.context() as m:
+        m.setattr(gru, "FUSED_BELOW_HIDDEN", 0)
+        return fn(*args)
+
+
+class TestFusedLevel:
+    @pytest.mark.parametrize("h", FUSED_SIZES)
+    def test_equals_the_two_direction_level(self, h, monkeypatch):
+        rng = SplitMix64(900 + h)
+        for lengths in RAGGED:
+            p, xs, d_out = level_case(rng, 5, h, lengths)
+            fused, got = level_pass(p, xs, lengths, d_out)
+            split, want = two_directions(monkeypatch, level_pass, p, xs, lengths, d_out)
+            assert (len(fused.traces), len(split.traces)) == (1, 2)
+            for a, b in zip(got, want):
+                assert_rounding_apart(a, b)
+            for k in (0, 1):  # a direction's columns of the fused trace are its trace
+                got_side, want_side = direction(fused, k), direction(split, k)
+                for field in TRACE_FIELDS:
+                    assert_rounding_apart(getattr(got_side, field), getattr(want_side, field),
+                                          err_msg=f"direction {k}: {field}")
+                assert got_side.batch_sizes == want_side.batch_sizes
+
+    def test_fused_weights_are_block_diagonal_and_gradients_their_diagonal_blocks(self):
+        rng = SplitMix64(31)
+        h, d = 3, 2
+        p = BiRnnParams(random_params(rng, d, h), random_params(rng, d, h))
+        q = gru._fused(p, (0, 1))
+        assert (q.W.shape, q.U.shape, q.b.shape) == ((6 * h, 2 * d), (6 * h, 2 * h), (6 * h,))
+        for j, own in enumerate((p.fwd, p.bwd)):
+            for gate in range(3):  # rows [z_f z_b | r_f r_b | h~_f h~_b]
+                rows = slice((2 * gate + j) * h, (2 * gate + j + 1) * h)
+                other = slice((2 * gate + 1 - j) * h, (2 * gate + 2 - j) * h)
+                own_rows = slice(gate * h, (gate + 1) * h)
+                np.testing.assert_array_equal(q.W[rows, j * d:(j + 1) * d], own.W[own_rows])
+                np.testing.assert_array_equal(q.U[rows, j * h:(j + 1) * h], own.U[own_rows])
+                np.testing.assert_array_equal(q.b[rows], own.b[own_rows])
+                assert not q.W[other, j * d:(j + 1) * d].any()
+                assert not q.U[other, j * h:(j + 1) * h].any()
+        for back, own in zip(gru._blocks(q, 2), (p.fwd, p.bwd)):
+            for a, b in ((back.W, own.W), (back.U, own.U), (back.b, own.b)):
+                np.testing.assert_array_equal(a, b)
+
+    # At h = 16 and d = 2, WASTE_ROWS rows per step are the most that fuse.
+    WASTE_ROWS = gru.FUSED_MAX_WASTE // (16 * (16 + 2))
+
+    @pytest.mark.parametrize("h, sequences, recurrences", [
+        (gru.FUSED_BELOW_HIDDEN - 1, 3, 1), (gru.FUSED_BELOW_HIDDEN, 3, 2),
+        (16, WASTE_ROWS, 1), (16, WASTE_ROWS + 1, 2)])
+    def test_a_small_level_runs_half_the_recurrences(self, h, sequences, recurrences,
+                                                     monkeypatch):
+        rng = SplitMix64(32)
+        lengths = [1 + i % 3 for i in range(sequences)]
+        p, xs, d_out = level_case(rng, 2, h, lengths)
+        calls = []
+        for name in ("rnn_unroll", "rnn_backward", "rnn_final"):
+            real = getattr(gru, name)
+            monkeypatch.setattr(gru, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        level_pass(p, xs, lengths, d_out)
+        birnn_final(p, xs, lengths)
+        assert sorted(calls) == sorted(["rnn_unroll", "rnn_backward", "rnn_final"] * recurrences)
+
+    def test_a_stack_of_sets_runs_as_one_set(self):
+        rng = SplitMix64(34)
+        one = BiRnnParams(random_params(rng, 2, 16), random_params(rng, 2, 16))
+        many = BiRnnParams(*(GruParams(*(np.stack([a] * 50) for a in (q.W, q.U, q.b)))
+                             for q in (one.fwd, one.bwd)))
+        for rows in (1, self.WASTE_ROWS, self.WASTE_ROWS + 1):
+            assert gru._plan(many, [rows]) == gru._plan(one, [rows])
+
+    @pytest.mark.parametrize("h, d, sequences, n_sets", [
+        (3, 3, 5, 40), (16, 8, 5, 10), (16, 8, 20, 30), (16, 8, 60, None), (16, 32, 8, 20),
+        (gru.FUSED_BELOW_HIDDEN, 8, 5, 20), (gru.FUSED_BELOW_HIDDEN, 50, 30, None)])
+    def test_final_bytes_counts_the_walk(self, h, d, sequences, n_sets):
+        import tracemalloc
+
+        rng = SplitMix64(35 + h + d)
+        lengths = [1 + (7 * i) % 9 for i in range(sequences)]
+        one = BiRnnParams(random_params(rng, d, h), random_params(rng, d, h))
+        p, xs = one, rng.uniforms(sum(lengths) * d, -1, 1).reshape(-1, d)
+        if n_sets is not None:
+            p = BiRnnParams(*(GruParams(*(np.stack([a] * n_sets) for a in (q.W, q.U, q.b)))
+                              for q in (one.fwd, one.bwd)))
+            xs = np.stack([xs] * n_sets)
+        counted = (n_sets or 1) * gru.final_bytes(one, lengths)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            birnn_final(p, xs, lengths)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert counted / 2 < peak <= counted + gru.FINAL_OVERHEAD_BYTES
+
+    @pytest.mark.parametrize("stacked_inputs", [False, True])
+    def test_the_stacked_walk_fuses_on_the_trailing_axes(self, stacked_inputs, monkeypatch):
+        rng = SplitMix64(33)
+        d, h, n_sets = 3, 5, 4
+        lengths = [4, 1, 3, 3]
+        members = [BiRnnParams(random_params(rng, d, h), random_params(rng, d, h))
+                   for _ in range(n_sets)]
+        stack = BiRnnParams(*(GruParams(*(np.stack([getattr(getattr(m, k), t) for m in members])
+                                          for t in ("W", "U", "b")))
+                              for k in ("fwd", "bwd")))
+        rows = sum(lengths)
+        xs = rng.uniforms(n_sets * rows * d, -1, 1).reshape(n_sets, rows, d)
+        if not stacked_inputs:
+            xs = xs[0]
+        got = birnn_final(stack, xs, lengths)
+        assert got.shape == (n_sets, len(lengths), 2 * h)
+        assert_rounding_apart(got, two_directions(monkeypatch, birnn_final, stack, xs, lengths))
+        for i, m in enumerate(members):
+            assert_rounding_apart(got[i], birnn_final(m, xs[i] if stacked_inputs else xs, lengths))

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from traitgru import gru
 from traitgru import model as M
 from traitgru.cli import main
 from traitgru.data import TraitScores, Tweet
-from traitgru.gru import BiRnnParams, birnn_final, birnn_forward, birnn_output
+from traitgru.gru import (BiRnnParams, birnn_final, birnn_forward, birnn_output,
+                          projection_width)
 from traitgru.model import TRAINABLE_KINDS, MlpHead, ModelKind, Regressor, mlp_forward
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, build_vocab_for, init_params, model_dims
@@ -73,7 +75,7 @@ def test_chunk_boundaries_and_a_tweet_over_the_budget(kind, monkeypatch):
     reg = regressor(kind)
     top = reg.params.levels[-1]
     units = [len(reg.unit_ids(tw)[0]) for tw in TWEETS]
-    row_bytes = 24 * max(rnn.hidden_size for rnn in reg.params.levels)
+    row_bytes = 8 * max(projection_width(rnn.hidden_size) for rnn in reg.params.levels)
     # The longest tweet alone is over the budget, and all need several chunks.
     budget = (max(units) - 1) * row_bytes
     monkeypatch.setattr(M, "SCORE_BUDGET_BYTES", budget)
@@ -100,6 +102,27 @@ def test_chunk_boundaries_and_a_tweet_over_the_budget(kind, monkeypatch):
     want_scores, want_embeddings = per_tweet(reg, TWEETS)
     np.testing.assert_allclose(scores, want_scores, rtol=0, atol=1e-12)
     np.testing.assert_allclose(embeddings, want_embeddings, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+def test_every_input_projection_of_a_chunk_fits_the_budget(kind, monkeypatch):
+    # A fused level projects 6h floats per unit, twice a direction's 3h.
+    reg = regressor(kind)
+    units = [len(reg.unit_ids(tw)[0]) for tw in TWEETS]
+    budget = 2 * max(units) * 8 * 6 * reg.params.levels[0].hidden_size
+    monkeypatch.setattr(M, "SCORE_BUDGET_BYTES", budget)
+    projections, real = [], gru._projected
+
+    def spy(p, xs, batch_sizes):
+        X, A = real(p, xs, batch_sizes)
+        projections.append(A.nbytes)
+        return X, A
+
+    monkeypatch.setattr(gru, "_projected", spy)
+    scores, _ = reg.score_many(TWEETS)
+    assert len(projections) > len(reg.params.levels)  # several chunks
+    assert max(projections) <= budget
+    np.testing.assert_allclose(scores, per_tweet(reg, TWEETS)[0], rtol=0, atol=1e-12)
 
 
 def test_small_dimensions_take_one_chunk(monkeypatch):

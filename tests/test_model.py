@@ -8,6 +8,8 @@ from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, Mo
 from traitgru.rng import SplitMix64
 from traitgru.train import TrainConfig, check_gradients, init_params, model_dims
 
+from .test_gru import direction
+
 
 def mk_tweet(text, user_id="u1", ext=0.0):
     from traitgru.data import normalize_tweet, tokenize
@@ -395,7 +397,7 @@ class TestDropoutPlumbing:
         assert trace.mask is not None and trace.mask.shape == e_w.shape
         kept = trace.mask[0] != 0
         np.testing.assert_array_equal(
-            trace.top.fwd.x[0, kept],  # the first word-level input row
+            direction(trace.top, 0).x[0, kept],  # the first word-level input row
             (e_w[0] * trace.mask[0])[kept])
 
     def test_rate_zero_plan_is_identity(self):

@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,12 +35,13 @@ def cap(monkeypatch):
 
 @pytest.fixture()
 def no_partner(monkeypatch):
-    """A fresh partner executor, whose worker has not started, so starting
-    one shows in new_threads(); it is shut down after the test."""
-    fresh = ThreadPoolExecutor(1, thread_name_prefix="traitgru-partner")
-    monkeypatch.setattr(gru, "_partner", fresh)
+    """No partner executor yet, so the test's first two-thread pass makes
+    one and starting its worker shows in new_threads(); it is shut down
+    after the test."""
+    monkeypatch.setattr(gru, "_partner", None)
     yield
-    fresh.shutdown()
+    if gru._partner is not None:
+        gru._partner.shutdown()
 
 
 def new_threads(before):
@@ -80,7 +80,8 @@ def test_set_threads_sets_the_cap_and_rejects_zero(cap):
         cap(0)
 
 
-@pytest.mark.parametrize("h", [gru.CONCURRENT_MIN_HIDDEN - 1, gru.CONCURRENT_MIN_HIDDEN])
+@pytest.mark.parametrize("h", [gru.FUSED_BELOW_HIDDEN - 1, gru.CONCURRENT_MIN_HIDDEN - 1,
+                               gru.CONCURRENT_MIN_HIDDEN])
 def test_both_directions_are_bitwise_the_serial_ones(cap, h):
     rng = SplitMix64(4)
     p = gru.BiRnnParams(random_params(rng, 5, h), random_params(rng, 5, h))
@@ -122,14 +123,22 @@ def test_birnn_passes_run_the_forward_direction_on_the_partner(cap, monkeypatch)
         ("rnn_unroll", False, True), ("rnn_unroll", True, False)]
 
 
-@pytest.fixture()
-def both(cap):
-    """_both_directions at a cap of 2 and a hidden size that uses the partner."""
+def partner_plan():
+    """gru._plan for one sequence through a level of a size that uses the
+    partner."""
     rng = SplitMix64(7)
     h = gru.CONCURRENT_MIN_HIDDEN
-    params = gru.BiRnnParams(random_params(rng, 1, h), random_params(rng, 1, h))
+    return gru._plan(gru.BiRnnParams(random_params(rng, 1, h), random_params(rng, 1, h)), [1])
+
+
+@pytest.fixture()
+def both(cap):
+    """gru._each over two calls as a level of a hidden size that uses the
+    partner runs them at a cap of 2."""
     cap(2)
-    return lambda fn, fwd_args, bwd_args: gru._both_directions(fn, params, fwd_args, bwd_args)
+    _, threaded = partner_plan()
+    assert threaded
+    return lambda fn, fwd_args, bwd_args: tuple(gru._each(fn, [fwd_args, bwd_args], threaded))
 
 
 class TestPartner:
@@ -223,16 +232,20 @@ def test_a_paper_size_train_starts_one_partner(cap, no_partner):
 
 
 def test_callers_on_many_threads_share_one_partner_and_get_their_own_results(cap, no_partner):
-    rng = SplitMix64(6)
-    h = gru.CONCURRENT_MIN_HIDDEN
-    params = gru.BiRnnParams(random_params(rng, 1, h), random_params(rng, 1, h))
-    wrong = []
+    # The callers also race to make the partner on their first pass: the
+    # partner's calls must all run on one worker thread.
+    wrong, workers = [], set()
+
+    def where(*args):
+        return args, threading.current_thread()
 
     def call(k):
+        _, threaded = partner_plan()
         for i in range(300):
-            got = gru._both_directions(lambda *a: a, params, (k, i), (k, -i))
-            if got != ((k, i), (k, -i)):
-                wrong.append((k, i, got))
+            (there, worker), (here, caller) = gru._each(where, [(k, i), (k, -i)], threaded)
+            workers.add(worker)
+            if (there, here, caller) != ((k, i), (k, -i), threading.current_thread()):
+                wrong.append((k, i, there, here))
 
     before = set(threading.enumerate())
     cap(2)
@@ -248,6 +261,7 @@ def test_callers_on_many_threads_share_one_partner_and_get_their_own_results(cap
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert wrong == []
+    assert [t.name for t in workers] == ["traitgru-partner_0"]
     assert new_threads(before) == ["traitgru-partner_0"]
 
 
@@ -268,3 +282,32 @@ def test_a_threaded_train_command_exits_on_its_own(tmp_path):
         assert done.returncode == 0, done.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_a_command_that_never_uses_two_threads_never_imports_the_executor(tmp_path):
+    # The partner is made on the first two-thread pass, so a small model's
+    # train and eval, even at a cap of 2, neither make it nor import
+    # concurrent.futures (and the logging it pulls in).
+    import subprocess
+
+    data, cfg = tmp_path / "d.tsv", tmp_path / "c.cfg"
+    assert cli.main(["fixture", "--users", "4", "--tweets-per-user", "3", "--seed", "9",
+                     "--out", str(data)]) == 0
+    cfg.write_text("char_dim = 4\nhidden_size = 16\nmlp_dim = 5\nword_dim = 4\nepochs = 1\n",
+                   encoding="utf-8")
+    code = ("import sys\n"
+            "from traitgru import cli, gru\n"
+            "data, cfg, out = sys.argv[1:]\n"
+            "assert cli.main(['train', '--data', data, '--trait', 'ext', '--model', 'c2w2s4pt', "
+            "'--config', cfg, '--out', out, '--threads', '2']) == 0\n"
+            "assert cli.main(['eval', '--data', data, '--model-kind', 'c2w2s4pt', '--trait', "
+            "'ext', '--k', '2', '--level', 'tweet', '--config', cfg, '--threads', '2']) == 0\n"
+            "print(gru._partner, 'concurrent.futures' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(gru.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code, str(data), str(cfg),
+                           str(tmp_path / "m.ckpt")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "None False"

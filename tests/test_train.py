@@ -422,7 +422,10 @@ class TestGradCheck:
         monkeypatch.setattr(T, "final_rows", spy)
         for pairs, sizes in ((None, None), (1, [2] * n), (3, [6] * (n // 3) + [2 * (n % 3)])):
             if pairs is not None:
-                monkeypatch.setattr(T, "PROBE_BUDGET_BYTES", pairs * 2 * reg.params.flat.nbytes)
+                probe_bytes = reg.params.flat.nbytes + T._walk_bytes(reg.params,
+                                                                     reg.unit_ids(tweet))
+                monkeypatch.setattr(T, "PROBE_BUDGET_BYTES",
+                                    pairs * 2 * probe_bytes + T.FINAL_OVERHEAD_BYTES)
             rows.clear()
             got = T.probe_scores(reg, tweet, eps)
             assert sizes is None or rows == sizes
@@ -430,6 +433,20 @@ class TestGradCheck:
             for group, (lo, hi) in groups.items():
                 assert (got[2 * lo:2 * hi].view(np.int64)
                         == want[2 * lo:2 * hi].view(np.int64)).all(), (pairs, group)
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+    def test_probe_chunks_stay_within_the_budget(self, kind):
+        import tracemalloc
+
+        for reg, tweet, _ in default_instances(kind, 5):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                scores = T.probe_scores(reg, tweet, 1e-5)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= T.PROBE_BUDGET_BYTES + scores.nbytes
 
     def test_check_gradients_scores_two_probes_per_entry(self, monkeypatch):
         reg, tweet, y = default_instances(ModelKind.C2W2S4PT, 1)[0]
