@@ -43,7 +43,8 @@ the zero vector.
 
 The two directions are independent recurrences until the caller combines
 them, and _plan picks one of three ways to run a level's pass from its
-hidden size h, its input size d and the rows of its first step:
+hidden size h, its input size d and its number of sequences, the rows
+of its first step:
 
 - as one GRU of hidden size 2h (_fused) when h < FUSED_BELOW_HIDDEN and
   rows * h * (h + d) <= FUSED_MAX_WASTE: W, U and b are block-diagonal
@@ -52,9 +53,9 @@ hidden size h, its input size d and the rows of its first step:
   Every equation of the cell is elementwise per unit, so this is the
   bi-GRU computed with half the steps, at the price of the zero blocks'
   flops; while those stay small, a step costs its numpy calls more than
-  its arithmetic.  Its final rows are [fwd ; bwd], and the diagonal
-  blocks of its gradient are the two directions' own (_blocks).  The
-  stacked walk fuses the same way;
+  its arithmetic.  Its final rows are [fwd ; bwd], and birnn_backward
+  adds the diagonal blocks of its gradient, read as views, into the two
+  directions' own.  The stacked walk fuses the same way;
 - at a thread cap (set_threads, by default the CPUs this process may
   run on) of at least 2 and h >= CONCURRENT_MIN_HIDDEN, one direction
   per thread, as in Appleyard et al. 2016: the forward direction's
@@ -150,14 +151,14 @@ def _partner_executor():
         return _partner
 
 
-def _plan(p: "BiRnnParams", batch_sizes):
+def _plan(p: "BiRnnParams", sequences: int):
     """How the level p runs its directions (0 forward, 1 backward) over
-    packed steps of these sizes: the directions of each of its
-    recurrences, and whether the two recurrences run on two threads (see
-    the module docstring).  A stack of parameter sets runs as one set
-    would, so each set's results are bit for bit its own."""
+    this many packed sequences, its first step's rows: the directions of
+    each of its recurrences, and whether the two recurrences run on two
+    threads (see the module docstring).  A stack of parameter sets runs as
+    one set would, so each set's results are bit for bit its own."""
     h, d = p.hidden_size, p.fwd.input_size
-    if h < FUSED_BELOW_HIDDEN and batch_sizes[0] * h * (h + d) <= FUSED_MAX_WASTE:
+    if h < FUSED_BELOW_HIDDEN and sequences * h * (h + d) <= FUSED_MAX_WASTE:
         return ((0, 1),), False
     return ((0,), (1,)), _threads >= 2 and h >= CONCURRENT_MIN_HIDDEN
 
@@ -178,11 +179,10 @@ def final_bytes(p: "BiRnnParams", lengths) -> int:
     state).  Per sequence besides, the level's output rows as they are
     joined and put back in order (6h).  FINAL_OVERHEAD_BYTES come on top,
     once per call."""
-    pk = pack(lengths)
-    groups, _ = _plan(p, pk.batch_sizes)
+    groups, _ = _plan(p, len(lengths))
     n, h, d = len(groups[0]), p.hidden_size, p.fwd.input_size
     fused = 3 * n * h * (n * d + n * h + 1) if n > 1 else 0
-    return 8 * (fused + len(pk.fwd) * (n * (d + 3 * h) + 4) + len(pk.order) * (12 * n + 6) * h)
+    return 8 * (fused + sum(lengths) * (n * (d + 3 * h) + 4) + len(lengths) * (12 * n + 6) * h)
 
 
 def _each(fn, calls, threaded: bool) -> list:
@@ -278,13 +278,6 @@ class BiRnnParams:
     @property
     def hidden_size(self) -> int:
         return self.fwd.hidden_size
-
-    def accumulate(self, grads: "BiRnnParams") -> None:
-        """Adds grads, of the same shapes, into these tensors in place."""
-        for into, g in ((self.fwd, grads.fwd), (self.bwd, grads.bwd)):
-            into.W += g.W
-            into.U += g.U
-            into.b += g.b
 
     def tensors(self, prefix: str = "") -> "OrderedDict[str, np.ndarray]":
         out = OrderedDict()
@@ -506,17 +499,6 @@ def _fused(p: BiRnnParams, dirs) -> GruParams:
                      b.reshape(lead + (3 * n * h,)))
 
 
-def _blocks(g: GruParams, n: int) -> list:
-    """The n directions' own sets in a set fused from n (a gradient, say):
-    the diagonal blocks of its W, U and b."""
-    if n == 1:
-        return [g]
-    h, d = g.hidden_size // n, g.input_size // n
-    W, U, b = g.W.reshape(3, n, h, n, d), g.U.reshape(3, n, h, n, h), g.b.reshape(3, n, h)
-    return [GruParams(W[:, j, :, j].reshape(3 * h, d), U[:, j, :, j].reshape(3 * h, h),
-                      b[:, j].reshape(3 * h)) for j in range(n)]
-
-
 def _rows(X: np.ndarray, pk: Packing, dirs) -> np.ndarray:
     """The packed input rows of the recurrence running these directions:
     X[pk.fwd], X[pk.bwd] or [X[pk.fwd] | X[pk.bwd]] (on the trailing axes
@@ -531,7 +513,7 @@ def birnn_forward(p: BiRnnParams, xs, lengths) -> BiRnnTrace:
     in order in xs; each direction runs all of them at once, packed, and
     the backward direction consumes each sequence reversed."""
     X, pk = _packed_inputs(xs, lengths)
-    groups, threaded = _plan(p, pk.batch_sizes)
+    groups, threaded = _plan(p, len(pk.order))
     params = [_fused(p, dirs) for dirs in groups]
     traces = _each(rnn_unroll, [(q, _rows(X, pk, dirs), pk.batch_sizes)
                                 for q, dirs in zip(params, groups)], threaded)
@@ -555,36 +537,44 @@ def birnn_final(p: BiRnnParams, xs, lengths) -> np.ndarray:
     traces and on this thread: one row per sequence, in their own order
     (a stack of rows per parameter set when p is stacked, see rnn_final)."""
     X, pk = _packed_inputs(xs, lengths)
-    groups, _ = _plan(p, pk.batch_sizes)
+    groups, _ = _plan(p, len(pk.order))
     by_length = np.concatenate([rnn_final(_fused(p, dirs), _rows(X, pk, dirs), pk.batch_sizes)
                                 for dirs in groups], axis=-1)
     return _in_own_order(pk, by_length)
 
 
-def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray):
+def birnn_backward(p: BiRnnParams, trace: BiRnnTrace, d_out: np.ndarray,
+                   into: BiRnnParams) -> np.ndarray:
     """Gradients of birnn_output w.r.t. both directions and the inputs.
 
-    d_out has one row per sequence.  Returns (the parameter gradients as a
-    BiRnnParams, input gradients with one row per input, in the order of
-    xs).
+    d_out has one row per sequence.  Adds each direction's W, U and b
+    gradients into into, a level of a gradient bundle (a fused
+    recurrence's diagonal blocks, read as views), and returns the input
+    gradients, one row per input, in the order of xs.
     """
     h = p.hidden_size
     pk = trace.packing
     if d_out.shape != (len(pk.order), 2 * h):
         raise ValueError(f"d_out shape {d_out.shape} != {(len(pk.order), 2 * h)}")
     d_sorted = d_out[pk.order]
-    _, threaded = _plan(p, pk.batch_sizes)
+    _, threaded = _plan(p, len(pk.order))
     results = _each(rnn_backward, [(q, tr, d_sorted[:, dirs[0] * h:(dirs[-1] + 1) * h])
                                    for dirs, q, tr in zip(trace.groups, trace.params,
                                                           trace.traces)], threaded)
-    grads = []
     d_xs = np.empty((len(pk.fwd), p.fwd.input_size))
     for dirs, (g, d_rows, _) in zip(trace.groups, results):
-        grads += _blocks(g, len(dirs))
-        d_rows = d_rows.reshape(len(d_rows), len(dirs), -1)
+        n = len(dirs)
+        W, U, b = g.W.reshape(3, n, h, n, -1), g.U.reshape(3, n, h, n, h), g.b.reshape(3, n, h)
+        d_rows = d_rows.reshape(len(d_rows), n, -1)
         for j, k in enumerate(dirs):  # the forward direction first, as written
+            own = (into.fwd, into.bwd)[k]
+            # copy=False: a view of the bundle, or an error rather than an add lost in a copy
+            for acc, block in ((own.W.reshape(3, h, -1, copy=False), W[:, j, :, j]),
+                               (own.U.reshape(3, h, h, copy=False), U[:, j, :, j]),
+                               (own.b.reshape(3, h, copy=False), b[:, j])):
+                acc += block
             if k == 0:
                 d_xs[pk.fwd] = d_rows[:, j]
             else:
                 d_xs[pk.bwd] += d_rows[:, j]
-    return BiRnnParams(*grads), d_xs
+    return d_xs

@@ -154,14 +154,10 @@ class DropoutPlan:
 class MlpHead:
     """ReLU hidden layer plus linear output: y = w_hy @ relu(w_eh x + b_h) + b_y."""
 
-    w_eh: np.ndarray  # mlp_dim x in_dim
+    w_eh: np.ndarray  # mlp_dim x input width
     b_h: np.ndarray   # mlp_dim
     w_hy: np.ndarray  # 1 x mlp_dim
     b_y: np.ndarray   # shape (1,)
-
-    @property
-    def in_dim(self) -> int:
-        return self.w_eh.shape[-1]
 
     def tensors(self) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict(
@@ -294,9 +290,8 @@ def flat_backward(params: ModelParams, trace: Trace, d_y: np.ndarray,
     sent_mask = trace.sent_mask
     fed = trace.e_s * sent_mask if sent_mask is not None else trace.e_s
     d_in = mlp_backward(params.head, fed, trace.pre_relu, d_y, grads.head)
-    g, d_xs = birnn_backward(params.levels[-1], trace.top,
-                             d_in * sent_mask if sent_mask is not None else d_in)
-    grads.levels[-1].accumulate(g)
+    d_xs = birnn_backward(params.levels[-1], trace.top,
+                          d_in * sent_mask if sent_mask is not None else d_in, grads.levels[-1])
     return d_xs * trace.mask if trace.mask is not None else d_xs
 
 
@@ -465,8 +460,7 @@ class Regressor:
         grads = zero_grads(params) if grads is None else grads
         d_x = flat_backward(params, trace, d_y, grads)
         for rnn, into, tr in reversed(list(zip(params.levels, grads.levels, trace.lower))):
-            g, d_x = birnn_backward(rnn, tr, d_x)
-            into.accumulate(g)
+            d_x = birnn_backward(rnn, tr, d_x, into)
         np.add.at(grads.table.T, trace.ids, d_x)
         return grads
 

@@ -110,6 +110,11 @@ def _escape_text(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
 
 
+def _unescape_text(text: str) -> str:
+    """_escape_text undone, in one pass."""
+    return re.sub(r"\\(.)", lambda m: {"t": "\t", "n": "\n", "r": "\r"}.get(m[1], m[1]), text)
+
+
 def export_scatter_csv(points, path) -> None:
     """Columns pc1,pc2,label,text; text is escaped and is the last column,
     so readers should split each line on the first three commas only."""
@@ -128,7 +133,7 @@ def parse_scatter_csv(text: str) -> list:
     points = []
     for line in lines[1:]:
         pc1, pc2, label, txt = line.split(",", 3)
-        points.append(ScatterPoint(float(pc1), float(pc2), label, txt))
+        points.append(ScatterPoint(float(pc1), float(pc2), label, _unescape_text(txt)))
     return points
 
 

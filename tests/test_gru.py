@@ -27,6 +27,11 @@ def zero_params(d_in: int, h: int) -> GruParams:
     return GruParams(np.zeros((3 * h, d_in)), np.zeros((3 * h, h)), np.zeros(3 * h))
 
 
+def zero_level(p: BiRnnParams) -> BiRnnParams:
+    """A zero level of p's shapes, for birnn_backward to add into."""
+    return BiRnnParams(*(zero_params(q.input_size, q.hidden_size) for q in (p.fwd, p.bwd)))
+
+
 def random_params(rng: SplitMix64, d_in: int, h: int, scale: float = None) -> GruParams:
     s = scale if scale is not None else 1.0 / np.sqrt(max(d_in, h))
 
@@ -424,7 +429,8 @@ def test_birnn_backward_matches_finite_differences():
     xs = [rng.uniforms(2, -1, 1) for _ in range(3)]
     d_out = rng.uniforms(4, -1, 1)
     trace = encode(p, xs)
-    grads, d_xs = birnn_backward(p, trace, d_out[None])
+    grads = zero_level(p)
+    d_xs = birnn_backward(p, trace, d_out[None], grads)
     eps = 1e-5
     tensors = p.tensors()
     for name, theta in tensors.items():
@@ -499,7 +505,8 @@ def level_case(rng: SplitMix64, d: int, h: int, lengths):
 def level_pass(p, xs, lengths, d_out):
     """(trace, [output, input gradients, every parameter gradient])."""
     trace = birnn_forward(p, xs, lengths)
-    grads, d_xs = birnn_backward(p, trace, d_out)
+    grads = zero_level(p)
+    d_xs = birnn_backward(p, trace, d_out, grads)
     return trace, [birnn_output(trace), d_xs, *grads.tensors().values()]
 
 
@@ -534,7 +541,7 @@ class TestFusedLevel:
                                           err_msg=f"direction {k}: {field}")
                 assert got_side.batch_sizes == want_side.batch_sizes
 
-    def test_fused_weights_are_block_diagonal_and_gradients_their_diagonal_blocks(self):
+    def test_fused_weights_are_block_diagonal(self):
         rng = SplitMix64(31)
         h, d = 3, 2
         p = BiRnnParams(random_params(rng, d, h), random_params(rng, d, h))
@@ -550,9 +557,6 @@ class TestFusedLevel:
                 np.testing.assert_array_equal(q.b[rows], own.b[own_rows])
                 assert not q.W[other, j * d:(j + 1) * d].any()
                 assert not q.U[other, j * h:(j + 1) * h].any()
-        for back, own in zip(gru._blocks(q, 2), (p.fwd, p.bwd)):
-            for a, b in ((back.W, own.W), (back.U, own.U), (back.b, own.b)):
-                np.testing.assert_array_equal(a, b)
 
     # At h = 16 and d = 2, WASTE_ROWS rows per step are the most that fuse.
     WASTE_ROWS = gru.FUSED_MAX_WASTE // (16 * (16 + 2))
@@ -580,7 +584,7 @@ class TestFusedLevel:
         many = BiRnnParams(*(GruParams(*(np.stack([a] * 50) for a in (q.W, q.U, q.b)))
                              for q in (one.fwd, one.bwd)))
         for rows in (1, self.WASTE_ROWS, self.WASTE_ROWS + 1):
-            assert gru._plan(many, [rows]) == gru._plan(one, [rows])
+            assert gru._plan(many, rows) == gru._plan(one, rows)
 
     @pytest.mark.parametrize("h, d, sequences, n_sets", [
         (3, 3, 5, 40), (16, 8, 5, 10), (16, 8, 20, 30), (16, 8, 60, None), (16, 32, 8, 20),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from traitgru import gru
 from traitgru.data import CharVocab, TraitScores, Tweet, build_char_vocab
 from traitgru.gru import birnn_forward, birnn_output
 from traitgru.model import (TRAINABLE_KINDS, DropoutPlan, MlpHead, ModelKind, ModelParams,
@@ -247,11 +248,13 @@ class TestBackwardFull:
         visited = {reg.vocab.id_of(c) for c in "ab"}
         assert nonzero_cols == visited
 
+    @pytest.mark.parametrize("h", [3, gru.FUSED_BELOW_HIDDEN], ids=["fused", "unfused"])
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
-    def test_gradients_are_a_bundle_over_one_vector_that_accumulates(self, kind):
+    def test_gradients_are_a_bundle_over_one_vector_that_accumulates(self, kind, h):
         first, second = mk_tweet("ab ba c"), mk_tweet("ca abc")
-        reg = tiny_regressor([first, second], kind=kind, seed=7, h=3)
+        reg = tiny_regressor([first, second], kind=kind, seed=7, h=h)
         traces = [reg.forward(tw)[1] for tw in (first, second)]
+        assert len(traces[0].top.groups) == (1 if h < gru.FUSED_BELOW_HIDDEN else 2)
         alone = [reg.backward(tr, 1.0).flat.copy() for tr in traces]
         grads = reg.backward(traces[0], 1.0)
         assert isinstance(grads, ModelParams)
@@ -350,7 +353,7 @@ class TestUnitIds:
         tweet = mk_tweet("ab cd")
         reg = tiny_regressor([tweet], kind=kind, seed=4)
         e_s = reg.embedding(tweet)
-        assert e_s.shape == (reg.params.head.in_dim,)
+        assert e_s.shape == (reg.params.head.w_eh.shape[-1],)
         assert head_score(reg.params.head, e_s) == reg.score(tweet)
 
 

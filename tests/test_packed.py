@@ -18,6 +18,8 @@ from traitgru.model import DropoutPlan, ModelKind, Regressor, zero_grads
 from traitgru.rng import SplitMix64
 from traitgru.train import init_params
 
+from .test_gru import zero_level
+
 ALPHABET = "abcd"
 VOCAB = CharVocab({c: i for i, c in enumerate(ALPHABET)})
 
@@ -58,14 +60,10 @@ def per_word_reference(params, tokens, dropout, d_y_of):
     d_e_s = head.w_eh.T @ d_pre
     if sent_mask is not None:
         d_e_s = d_e_s * sent_mask
-    wg, d_xs = birnn_backward(params.levels[1], sentence, d_e_s[None])
-    for k, v in wg.tensors().items():
-        grads["word_" + k][...] += v
+    d_xs = birnn_backward(params.levels[1], sentence, d_e_s[None], grads.levels[1])
     for i, (tok, wt) in enumerate(zip(tokens, word_traces)):
         d_e_w = d_xs[i] * masks[i] if masks is not None else d_xs[i]
-        cg, d_cs = birnn_backward(params.levels[0], wt, d_e_w[None])
-        for k, v in cg.tensors().items():
-            grads["char_" + k][...] += v
+        d_cs = birnn_backward(params.levels[0], wt, d_e_w[None], grads.levels[0])
         for cid, d_c in zip(VOCAB.ids_of(tok), d_cs):
             grads["e_c"][:, cid] += d_c
     return y, grads
@@ -126,18 +124,16 @@ def test_packed_birnn_rows_equal_single_sequences():
     d_out = rng.uniforms(len(lengths) * 8, -1, 1).reshape(len(lengths), 8)
     trace = birnn_forward(p, X, lengths)
     out = birnn_output(trace)
-    grads, d_xs = birnn_backward(p, trace, d_out)
-    ref = {k: np.zeros_like(v) for k, v in grads.tensors().items()}
+    grads, ref = zero_level(p), zero_level(p)
+    d_xs = birnn_backward(p, trace, d_out, grads)
     starts = np.cumsum(lengths) - lengths
     for i, (s, n) in enumerate(zip(starts, lengths)):
         single = birnn_forward(p, X[s:s + n], [n])
         assert_close(out[i], birnn_output(single)[0], f"output {i}")
-        g, d_single = birnn_backward(p, single, d_out[i:i + 1])
-        for k in ref:
-            ref[k] += g.tensors()[k]
+        d_single = birnn_backward(p, single, d_out[i:i + 1], ref)
         assert_close(d_xs[s:s + n], d_single, f"input gradient {i}")
-    for k in ref:
-        assert_close(grads.tensors()[k], ref[k], k)
+    for k, want in ref.tensors().items():
+        assert_close(grads.tensors()[k], want, k)
 
 
 def test_named_tensors_are_views_of_the_stacks():

@@ -20,7 +20,7 @@ from traitgru.model import TRAINABLE_KINDS, ModelKind
 from traitgru.rng import SplitMix64
 
 from .test_cli import _run_module
-from .test_gru import random_params
+from .test_gru import random_params, zero_level
 
 PAPER_CFG = T.TrainConfig(char_dim=8, hidden_size=256, mlp_dim=8, word_dim=8, epochs=1,
                           batch_size=4, dropout_rate=0.0, seed=2)
@@ -92,7 +92,8 @@ def test_both_directions_are_bitwise_the_serial_ones(cap, h):
     for threads in (1, 2):
         cap(threads)
         trace = gru.birnn_forward(p, xs, lengths)
-        grads, d_xs = gru.birnn_backward(p, trace, d_out)
+        grads = zero_level(p)
+        d_xs = gru.birnn_backward(p, trace, d_out, grads)
         runs.append([gru.birnn_output(trace), d_xs, *grads.tensors().values()])
     for serial, threaded in zip(*runs):
         assert serial.tobytes() == threaded.tobytes()
@@ -116,7 +117,7 @@ def test_birnn_passes_run_the_forward_direction_on_the_partner(cap, monkeypatch)
     monkeypatch.setattr(gru, "rnn_backward", spying(backward))
     cap(2)
     trace = gru.birnn_forward(params, xs, [4])
-    gru.birnn_backward(params, trace, np.ones((1, 2 * h)))
+    gru.birnn_backward(params, trace, np.ones((1, 2 * h)), zero_level(params))
     here = threading.get_ident()
     assert sorted((name, fwd, ident == here) for name, fwd, ident in seen) == [
         ("rnn_backward", False, True), ("rnn_backward", True, False),
@@ -128,7 +129,7 @@ def partner_plan():
     partner."""
     rng = SplitMix64(7)
     h = gru.CONCURRENT_MIN_HIDDEN
-    return gru._plan(gru.BiRnnParams(random_params(rng, 1, h), random_params(rng, 1, h)), [1])
+    return gru._plan(gru.BiRnnParams(random_params(rng, 1, h), random_params(rng, 1, h)), 1)
 
 
 @pytest.fixture()

@@ -192,10 +192,12 @@ class TestExport:
         assert parsed[0].pc1 == pts[0].pc1 and parsed[2].label == pts[2].label
 
     def test_csv_lines_end_only_at_newline(self, tmp_path):
-        # Characters str.splitlines would break at stay inside the text.
+        # Characters str.splitlines would break at stay inside the text, and
+        # escaped characters read back as they were written.
         path = tmp_path / "pts.csv"
         pts = [ScatterPoint(0.5, -0.5, "LOW", "form\x0cfeed, next\x85line"),
-               ScatterPoint(1.5, 2.5, "HIGH", "line\u2028separator\x1e")]
+               ScatterPoint(1.5, 2.5, "HIGH", "line\u2028separator\x1e"),
+               ScatterPoint(2.0, 0.0, "LOW", "a\\b\tc\nd\re\\\\t")]
         export_scatter(pts, path, "csv")
         assert parse_scatter_csv(path.read_text(encoding="utf-8")) == pts
 
